@@ -17,9 +17,10 @@ pub fn corpus_path() -> PathBuf {
 
 /// Load the paper corpus from the crash-safe cache, building (and caching)
 /// it on a miss. The corpus is fully deterministic, so the cache is safe;
-/// [`cnnperf_core::load_corpus`] validates a schema + checksum envelope
-/// and quarantines anything half-written (`<name>.corrupt`), so a crashed
-/// earlier run can never poison this one. A build failure propagates
+/// [`cnnperf_core::load_corpus`] validates the sealed, checksummed record
+/// and its schema and quarantines anything half-written or written in an
+/// older format (`<name>.corrupt`), so a crashed earlier run can never
+/// poison this one. A build failure propagates
 /// instead of aborting the process, so regeneration binaries can report
 /// it and exit with a status code.
 pub fn corpus_cached() -> Result<Corpus, cnnperf_core::ProfileError> {

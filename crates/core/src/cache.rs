@@ -1,22 +1,16 @@
 //! Crash-safe on-disk corpus cache.
 //!
 //! The corpus takes ~1 min to build, so both the CLI and the bench
-//! harness cache it as JSON. A process killed mid-write (or a disk that
-//! lies) must never leave a half-written file that poisons every later
-//! run, so the cache is defended on both ends:
-//!
-//! - **Writes** go to a temp file in the same directory and are published
-//!   with an atomic `rename`, so readers only ever see nothing or a
-//!   complete file.
-//! - **Reads** validate an envelope carrying a schema version and an
-//!   FNV-1a checksum of the serialized corpus. Anything that fails to
-//!   parse, carries the wrong schema, or fails the checksum is quarantined
-//!   by renaming it to `<name>.corrupt` (with a warning on stderr) so the
-//!   evidence survives for debugging while the cache slot frees up for a
-//!   clean rebuild.
+//! harness cache it as JSON. The file is one sealed record whose payload
+//! is `{"schema":N,"corpus":…}`; publishing, checksumming and quarantine
+//! follow the shared policy in `core::durable`. A file that fails to
+//! unseal, parse, or carries another schema is quarantined to
+//! `<name>.corrupt` (with a warning on stderr) so the evidence survives
+//! while the cache slot frees up for a clean rebuild.
 
+use crate::durable;
 use crate::pipeline::Corpus;
-use crate::vfs::{durable_replace, real_fs, sync_parent_dir, Vfs};
+use crate::vfs::{real_fs, Vfs};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -28,33 +22,14 @@ static CACHE_MISSES: obs::LazyCounter = obs::LazyCounter::new("corpus_cache.miss
 static CACHE_QUARANTINED: obs::LazyCounter = obs::LazyCounter::new("corpus_cache.quarantined");
 static CACHE_STORES: obs::LazyCounter = obs::LazyCounter::new("corpus_cache.stores");
 
-/// Bump when [`Corpus`] (or the envelope itself) changes shape; readers
+/// Bump when [`Corpus`] (or the record itself) changes shape; readers
 /// treat any other version as corrupt-for-our-purposes and quarantine it.
-pub const CORPUS_CACHE_SCHEMA: u32 = 1;
+pub const CORPUS_CACHE_SCHEMA: u32 = 2;
 
 #[derive(Debug, Serialize, Deserialize)]
-struct CacheEnvelope {
-    schema_version: u32,
-    /// FNV-1a over the canonical (`serde_json::to_string`) corpus JSON.
-    checksum: u64,
+struct CacheRecord {
+    schema: u32,
     corpus: Corpus,
-}
-
-/// FNV-1a, the same cheap-but-sensitive hash the fault injectors use.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn corpus_checksum(corpus: &Corpus) -> u64 {
-    match serde_json::to_string(corpus) {
-        Ok(json) => fnv1a(json.as_bytes()),
-        Err(_) => 0,
-    }
 }
 
 /// Why a cache load produced nothing usable.
@@ -67,33 +42,24 @@ pub enum CacheMiss {
     Quarantined(String),
 }
 
-/// Validate the raw bytes of a cache file without loading the corpus.
-/// `Ok(())` means a well-formed envelope with matching schema and
-/// checksum; `Err` says what is wrong (shared with `cnnperf scrub`).
-pub(crate) fn validate_envelope(text: &str) -> Result<(), String> {
-    match serde_json::from_str::<CacheEnvelope>(text) {
-        Err(e) => Err(format!("unparseable envelope: {e:?}")),
-        Ok(env) if env.schema_version != CORPUS_CACHE_SCHEMA => Err(format!(
-            "schema version {} (want {})",
-            env.schema_version, CORPUS_CACHE_SCHEMA
-        )),
-        Ok(env) => {
-            let actual = corpus_checksum(&env.corpus);
-            if actual != env.checksum {
-                Err(format!(
-                    "checksum mismatch: stored {:#018x}, computed {actual:#018x}",
-                    env.checksum
-                ))
-            } else {
-                Ok(())
-            }
-        }
+/// Decode the raw text of a cache file; `Err` says what is wrong (shared
+/// with `cnnperf scrub`).
+pub(crate) fn decode(text: &str) -> Result<Corpus, String> {
+    let json = durable::unseal(text).ok_or("torn record or checksum mismatch")?;
+    let record: CacheRecord =
+        serde_json::from_str(json).map_err(|e| format!("unparseable record: {e:?}"))?;
+    if record.schema != CORPUS_CACHE_SCHEMA {
+        return Err(format!(
+            "schema version {} (want {CORPUS_CACHE_SCHEMA})",
+            record.schema
+        ));
     }
+    Ok(record.corpus)
 }
 
-/// Load a corpus from `path`, validating the crash-safety envelope.
-/// Invalid files are moved aside to `<path>.corrupt` so the next
-/// [`store_corpus`] starts clean.
+/// Load a corpus from `path`, validating the sealed record. Invalid files
+/// are moved aside to `<path>.corrupt` so the next [`store_corpus`]
+/// starts clean.
 pub fn load_corpus(path: &Path) -> Result<Corpus, CacheMiss> {
     load_corpus_on(&*real_fs(), path)
 }
@@ -101,44 +67,23 @@ pub fn load_corpus(path: &Path) -> Result<Corpus, CacheMiss> {
 /// [`load_corpus`] against an explicit [`Vfs`] (fault injection, crash
 /// images).
 pub fn load_corpus_on(vfs: &dyn Vfs, path: &Path) -> Result<Corpus, CacheMiss> {
-    let text = match vfs.read_to_string(path) {
-        Ok(t) => t,
-        Err(_) => {
-            CACHE_MISSES.inc();
-            return Err(CacheMiss::Absent);
-        }
+    let Ok(text) = vfs.read_to_string(path) else {
+        CACHE_MISSES.inc();
+        return Err(CacheMiss::Absent);
     };
-    let reason = match serde_json::from_str::<CacheEnvelope>(&text) {
-        Err(e) => format!("unparseable envelope: {e:?}"),
-        Ok(env) if env.schema_version != CORPUS_CACHE_SCHEMA => format!(
-            "schema version {} (want {})",
-            env.schema_version, CORPUS_CACHE_SCHEMA
+    let reason = match decode(&text) {
+        Ok(corpus) => {
+            CACHE_HITS.inc();
+            return Ok(corpus);
+        }
+        Err(reason) => reason,
+    };
+    match durable::quarantine(vfs, path) {
+        Ok(q) => eprintln!(
+            "warning: corpus cache {} is corrupt ({reason}); quarantined as {}",
+            path.display(),
+            q.display()
         ),
-        Ok(env) => {
-            let actual = corpus_checksum(&env.corpus);
-            if actual != env.checksum {
-                format!(
-                    "checksum mismatch: stored {:#018x}, computed {actual:#018x}",
-                    env.checksum
-                )
-            } else {
-                CACHE_HITS.inc();
-                return Ok(env.corpus);
-            }
-        }
-    };
-    let quarantine = quarantine_path(path);
-    match vfs.rename(path, &quarantine) {
-        Ok(()) => {
-            // make the quarantine itself durable so a crash right after
-            // cannot resurrect the corrupt file under its live name
-            let _ = sync_parent_dir(vfs, path);
-            eprintln!(
-                "warning: corpus cache {} is corrupt ({reason}); quarantined as {}",
-                path.display(),
-                quarantine.display()
-            )
-        }
         Err(e) => eprintln!(
             "warning: corpus cache {} is corrupt ({reason}); quarantine failed: {e}",
             path.display()
@@ -149,16 +94,9 @@ pub fn load_corpus_on(vfs: &dyn Vfs, path: &Path) -> Result<Corpus, CacheMiss> {
     Err(CacheMiss::Quarantined(reason))
 }
 
-fn quarantine_path(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".corrupt");
-    path.with_file_name(name)
-}
-
-/// Store a corpus at `path` crash-safely: envelope with schema + checksum,
-/// written to a sibling temp file, fsynced, published atomically via
-/// rename, parent directory fsynced. After this returns `Ok`, the file
-/// survives a power loss.
+/// Store a corpus at `path` crash-safely as one sealed record, published
+/// through `core::durable`. After this returns `Ok`, the file survives a
+/// power loss.
 pub fn store_corpus(path: &Path, corpus: &Corpus) -> io::Result<()> {
     store_corpus_on(&*real_fs(), path, corpus)
 }
@@ -170,18 +108,14 @@ pub fn store_corpus_on(vfs: &dyn Vfs, path: &Path, corpus: &Corpus) -> io::Resul
             vfs.create_dir_all(dir)?;
         }
     }
-    let envelope = CacheEnvelope {
-        schema_version: CORPUS_CACHE_SCHEMA,
-        checksum: corpus_checksum(corpus),
+    let record = CacheRecord {
+        schema: CORPUS_CACHE_SCHEMA,
         // cloning the corpus once per store is noise next to the build
         corpus: corpus.clone(),
     };
-    let json = serde_json::to_string(&envelope)
+    let json = serde_json::to_string(&record)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = path.with_file_name(tmp_name);
-    durable_replace(vfs, &tmp, path, json.as_bytes())?;
+    durable::publish(vfs, path, durable::seal(&json).as_bytes())?;
     CACHE_STORES.inc();
     Ok(())
 }

@@ -3,23 +3,21 @@
 //! The corpus build is the longest-running stage of the pipeline, and
 //! before this module a crash or OOM-kill discarded every completed
 //! (model, device) cell. The journal is an append-only write-ahead log of
-//! per-cell results: each rayon worker's finished cell is serialized as a
-//! single line — `{fnv1a checksum} {json record}` — and fsynced before the
-//! build moves on, so a killed process (or a power loss) loses at most
-//! the cell that was in flight.
+//! per-cell results: each rayon worker's finished cell is serialized as
+//! one sealed line — `{fnv1a checksum} {json record}` — and fsynced
+//! before the build moves on, so a killed process (or a power loss) loses
+//! at most the cell that was in flight.
 //!
-//! Defenses mirror [`crate::cache`]:
+//! Framing, publish, quarantine and temp sweeping follow the shared
+//! policy in `core::durable`; on top of it the journal is:
 //!
 //! - **Segmented**: records rotate into `segment-NNNNN.jsonl` files every
 //!   [`SEGMENT_RECORDS`] appends, bounding how much data one torn tail can
 //!   take down.
-//! - **Checksummed**: every line carries an FNV-1a hash of its JSON
-//!   payload; replay verifies it before trusting the record.
-//! - **Quarantined**: the first bad line stops replay for its segment —
-//!   the segment is renamed to `<name>.corrupt` (evidence preserved), its
-//!   valid prefix is rewritten in place via temp file + fsync + atomic
-//!   rename + parent-dir fsync, and every later segment is quarantined
-//!   wholesale (ordering after a tear is no longer trustworthy).
+//! - **Repaired at the first bad line**: replay stops a segment at its
+//!   first line that fails to unseal, quarantines the segment, rewrites
+//!   its valid prefix under the live name, and quarantines every later
+//!   segment wholesale (ordering after a tear is no longer trustworthy).
 //! - **Config-guarded**: the first record of a journal is the
 //!   [`BuildMeta`] (sm target, runs, retry policy, fault profile, strict
 //!   flag); resuming under a different configuration is refused rather
@@ -40,8 +38,9 @@
 //! journaled), and the resulting corpus is byte-identical to an
 //! uninterrupted build under [`crate::pipeline::Corpus::canonical_json`].
 
+use crate::durable;
 use crate::features::CnnProfile;
-use crate::vfs::{durable_replace, real_fs, sync_parent_dir, Vfs, VfsFile};
+use crate::vfs::{real_fs, Vfs, VfsFile};
 use gpu_sim::{FaultProfile, RetryPolicy, RobustProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -183,16 +182,6 @@ impl Replay {
     }
 }
 
-/// FNV-1a, the same envelope hash as [`crate::cache`].
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 pub(crate) fn segment_name(index: u32) -> String {
     format!("segment-{index:05}.jsonl")
 }
@@ -217,43 +206,33 @@ fn list_segments(vfs: &dyn Vfs, dir: &Path) -> std::io::Result<Vec<(u32, PathBuf
     Ok(segs)
 }
 
-fn quarantine(vfs: &dyn Vfs, path: &Path) -> std::io::Result<()> {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".corrupt");
-    vfs.rename(path, &path.with_file_name(name))?;
-    sync_parent_dir(vfs, path)
-}
-
-/// Decode one journal line (`{checksum:016x} {json}`); `None` on any
-/// corruption (torn write, flipped bit, bad JSON).
-fn decode_line(line: &str) -> Option<JournalRecord> {
-    let (hash_s, json) = line.split_once(' ')?;
-    let stored = u64::from_str_radix(hash_s, 16).ok()?;
-    if fnv1a(json.as_bytes()) != stored {
-        return None;
-    }
-    serde_json::from_str(json).ok()
-}
-
-/// Split raw segment text into its valid prefix (as re-encodable lines)
-/// and whether a corrupt tail was found. Shared with `cnnperf scrub`.
-pub(crate) fn segment_valid_prefix(text: &str) -> (Vec<&str>, bool) {
-    let mut valid = Vec::new();
-    for line in text.lines() {
-        if decode_line(line).is_some() {
-            valid.push(line);
-        } else {
-            return (valid, true);
+/// Decode a segment's records up to its first line that fails to unseal
+/// or parse. Returns them with the byte length of that valid prefix,
+/// which is shorter than `text` exactly when the segment is torn. Shared
+/// with `cnnperf scrub`.
+pub(crate) fn read_segment(text: &str) -> (Vec<JournalRecord>, usize) {
+    let mut records = Vec::new();
+    let mut valid = 0;
+    for line in text.split_inclusive('\n') {
+        match durable::unseal(line).and_then(|json| serde_json::from_str(json).ok()) {
+            Some(record) => records.push(record),
+            None => break,
         }
+        valid += line.len();
     }
-    (valid, false)
+    (records, valid)
 }
 
-fn encode_line(record: &JournalRecord) -> Result<String, JournalError> {
-    let json =
-        serde_json::to_string(record).map_err(|e| JournalError::Serialize(format!("{e:?}")))?;
-    debug_assert!(!json.contains('\n'), "journal records must be single-line");
-    Ok(format!("{:016x} {json}\n", fnv1a(json.as_bytes())))
+/// Quarantine a torn segment and rewrite its valid `prefix` under the
+/// live name. Returns whether a prefix was rewritten. Shared with
+/// `cnnperf scrub`.
+pub(crate) fn repair_segment(vfs: &dyn Vfs, path: &Path, prefix: &str) -> std::io::Result<bool> {
+    durable::quarantine(vfs, path)?;
+    if prefix.is_empty() {
+        return Ok(false);
+    }
+    durable::publish(vfs, path, prefix.as_bytes())?;
+    Ok(true)
 }
 
 struct Writer {
@@ -311,32 +290,20 @@ impl Journal {
         resume: bool,
     ) -> Result<(Journal, Replay), JournalError> {
         vfs.create_dir_all(dir)?;
+        // sweep tmp litter from crashed prefix-rewrites before replaying
+        let tmp_swept = durable::sweep_tmps(&*vfs, dir) as u64;
+        JOURNAL_TMP_SWEPT.add(tmp_swept);
+        if tmp_swept > 0 {
+            eprintln!(
+                "note: swept {tmp_swept} stale journal temp file(s) in {} (crashed rewrite)",
+                dir.display()
+            );
+        }
+
         let mut replay = Replay::default();
         let mut next_index = 0u32;
-
-        // sweep tmp litter from crashed prefix-rewrites before replaying,
-        // exactly like modelstore::open does for snapshot tmp files
-        for name in vfs.read_dir(dir)? {
-            if name.contains(".tmp.") {
-                let path = dir.join(&name);
-                if vfs.remove_file(&path).is_ok() {
-                    JOURNAL_TMP_SWEPT.inc();
-                    replay.tmp_swept += 1;
-                    eprintln!(
-                        "note: swept stale journal temp file {} (crashed rewrite)",
-                        path.display()
-                    );
-                }
-            }
-        }
-        if replay.tmp_swept > 0 {
-            let _ = vfs.sync_dir(dir);
-        }
-
         if resume {
-            let swept = replay.tmp_swept;
             replay = replay_segments(&*vfs, dir)?;
-            replay.tmp_swept = swept;
             if let Some(found) = &replay.meta {
                 if found != meta {
                     return Err(JournalError::ConfigMismatch {
@@ -355,6 +322,7 @@ impl Journal {
             // make the wipe durable: a crash must not resurrect old cells
             vfs.sync_dir(dir)?;
         }
+        replay.tmp_swept = tmp_swept;
 
         let path = dir.join(segment_name(next_index));
         let file = vfs.open_append(&path)?;
@@ -423,7 +391,9 @@ impl Journal {
             // disk is full: drop the record, keep the build/serve alive
             return Ok(());
         }
-        let line = encode_line(record)?;
+        let json =
+            serde_json::to_string(record).map_err(|e| JournalError::Serialize(format!("{e:?}")))?;
+        let line = durable::seal(&json);
         let mut w = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let result = (|| -> std::io::Result<()> {
             if w.records_in_segment >= SEGMENT_RECORDS {
@@ -472,33 +442,18 @@ fn replay_segments(vfs: &dyn Vfs, dir: &Path) -> Result<Replay, JournalError> {
 
     for (pos, (_, path)) in segments.iter().enumerate() {
         let text = vfs.read_to_string(path)?;
-        let (valid_lines, bad) = segment_valid_prefix(&text);
-        for line in &valid_lines {
-            if let Some(record) = decode_line(line) {
-                apply_record(&mut replay, record);
-            }
+        let (records, valid) = read_segment(&text);
+        for record in records {
+            apply_record(&mut replay, record);
         }
-        if bad {
-            let mut valid_prefix = String::new();
-            for line in &valid_lines {
-                valid_prefix.push_str(line);
-                valid_prefix.push('\n');
-            }
+        if valid < text.len() {
             eprintln!(
                 "warning: journal segment {} has a corrupt tail; quarantining as .corrupt",
                 path.display()
             );
-            quarantine(vfs, path)?;
+            repair_segment(vfs, path, &text[..valid])?;
             JOURNAL_CORRUPT_SEGMENTS.inc();
             replay.corrupt_segments += 1;
-            if !valid_prefix.is_empty() {
-                // keep the valid prefix under the original name, written
-                // durably (temp + fsync + rename + dir fsync)
-                let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-                tmp_name.push(format!(".tmp.{}", std::process::id()));
-                let tmp = path.with_file_name(tmp_name);
-                durable_replace(vfs, &tmp, path, valid_prefix.as_bytes())?;
-            }
             poisoned_from = Some(pos + 1);
             break;
         }
@@ -509,7 +464,7 @@ fn replay_segments(vfs: &dyn Vfs, dir: &Path) -> Result<Replay, JournalError> {
     // a live N+1 means files were tampered with or interleaved
     if let Some(from) = poisoned_from {
         for (_, path) in &segments[from..] {
-            quarantine(vfs, path)?;
+            durable::quarantine(vfs, path)?;
             JOURNAL_CORRUPT_SEGMENTS.inc();
             replay.corrupt_segments += 1;
         }
@@ -575,6 +530,33 @@ mod tests {
             waited_ms: 0,
             error: err.to_string(),
         }
+    }
+
+    #[test]
+    fn golden_line_and_model_hash_are_stable() {
+        // on-disk bytes and replay keys written by earlier builds: a change
+        // to the framing or to FNV-1a would orphan every existing journal
+        let fs = SimFs::new(1);
+        let dir = PathBuf::from("j");
+        let (j, _) = Journal::open_on(fs.handle(), &dir, &meta(), false).unwrap();
+        j.append_cell("alexnet", 7, "GTX 1080 Ti", &fault("boom"))
+            .unwrap();
+        drop(j);
+        let text = fs.read_to_string(&dir.join(segment_name(0))).unwrap();
+        let cell = text.split_inclusive('\n').nth(1).unwrap();
+        assert_eq!(
+            cell,
+            concat!(
+                r#"7b36805efcb167d5 {"Cell":{"model":"alexnet","model_hash":7,"device":"GTX 1080 Ti","#,
+                r#""outcome":{"Fault":{"timeout":false,"waited_ms":0,"error":"boom"}}}}"#,
+                "\n"
+            )
+        );
+        let alexnet = cnn_ir::zoo::build("alexnet").unwrap();
+        assert_eq!(
+            crate::analysis_cache::model_content_hash(&alexnet),
+            0x0d63462d19ee668b
+        );
     }
 
     #[test]

@@ -28,6 +28,7 @@
 pub mod analysis_cache;
 pub mod cache;
 pub mod dse;
+mod durable;
 pub mod engine;
 pub mod features;
 pub mod journal;

@@ -3,17 +3,13 @@
 //! The lifecycle subsystem (see [`crate::lifecycle`]) promotes retrained
 //! predictors at runtime; this module makes those versions durable so a
 //! restarted `serve` cold-starts from the newest valid snapshot instead
-//! of retraining. The store borrows the corpus cache's defensive envelope
-//! (see [`crate::cache`]) on both ends:
-//!
-//! - **Writes** serialize the predictor into an envelope carrying a schema
-//!   version and an FNV-1a checksum, write it to a sibling temp file, and
-//!   publish with an atomic `rename` — a process SIGKILLed mid-write
-//!   leaves only a temp file that the next scan sweeps.
-//! - **Reads** validate the envelope; anything unparseable, with the
-//!   wrong schema, a checksum mismatch, or a version stamp that
-//!   contradicts its filename is quarantined by renaming it to
-//!   `<name>.corrupt` so the evidence survives while the slot frees up.
+//! of retraining. Each snapshot file is one sealed record whose payload
+//! is `{"schema":N,"meta":…,"predictor":…}`, published, checksummed and
+//! quarantined by the shared policy in `core::durable`: a process
+//! SIGKILLed mid-write leaves only a temp file that the next scan sweeps,
+//! and a file that fails to unseal, parse, carries another schema, or has
+//! a version stamp contradicting its filename is quarantined to
+//! `<name>.corrupt` so the evidence survives while the slot frees up.
 //!
 //! Snapshot files are named `predictor-v000042.json`; version numbers are
 //! monotonically increasing and never reused, even after a quarantine (a
@@ -25,8 +21,9 @@
 //! snapshot is either loaded or quarantined
 //! (`modelstore.snapshots.scanned == loaded + quarantined`).
 
+use crate::durable;
 use crate::model::PerformancePredictor;
-use crate::vfs::{durable_replace, real_fs, sync_parent_dir, Vfs};
+use crate::vfs::{real_fs, sync_parent_dir, Vfs};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -48,20 +45,10 @@ static PINS: obs::LazyCounter = obs::LazyCounter::new("modelstore.pins");
 /// Versions demoted by `models rollback`.
 static DEMOTIONS: obs::LazyCounter = obs::LazyCounter::new("modelstore.demotions");
 
-/// Bump when the envelope or [`PerformancePredictor`] changes shape.
-pub const SNAPSHOT_SCHEMA: u32 = 1;
+/// Bump when the record or [`PerformancePredictor`] changes shape.
+pub const SNAPSHOT_SCHEMA: u32 = 2;
 
-const PIN_FILE: &str = "PINNED";
-
-/// FNV-1a, the same cheap-but-sensitive hash the corpus cache uses.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
+pub(crate) const PIN_FILE: &str = "PINNED";
 
 /// Descriptive metadata stored alongside the predictor, cheap to list
 /// without deserializing the model itself.
@@ -78,10 +65,8 @@ pub struct SnapshotMeta {
 }
 
 #[derive(Debug, Serialize, Deserialize)]
-pub(crate) struct SnapshotEnvelope {
-    schema_version: u32,
-    /// FNV-1a over the canonical (`serde_json::to_string`) predictor JSON.
-    checksum: u64,
+struct SnapshotRecord {
+    schema: u32,
     meta: SnapshotMeta,
     predictor: PerformancePredictor,
 }
@@ -91,6 +76,7 @@ pub(crate) struct SnapshotEnvelope {
 pub struct SnapshotInfo {
     pub meta: SnapshotMeta,
     pub path: PathBuf,
+    /// FNV-1a of the sealed payload.
     pub checksum: u64,
 }
 
@@ -139,61 +125,39 @@ pub(crate) fn parse_snapshot_version(name: &str) -> Option<u64> {
     rest.parse().ok()
 }
 
-fn predictor_checksum(predictor: &PerformancePredictor) -> u64 {
-    match serde_json::to_string(predictor) {
-        Ok(json) => fnv1a(json.as_bytes()),
-        Err(_) => 0,
-    }
-}
-
-fn quarantine_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".corrupt");
-    path.with_file_name(name)
-}
-
-/// Validate one snapshot file. `expect_version` is the version its
-/// filename claims; a mismatched stamp is treated as corruption (a
-/// renamed or copied snapshot must not impersonate another version).
-fn read_snapshot(
+/// Read and validate one snapshot file (shared with `cnnperf scrub`).
+/// `expect_version` is the version its filename claims; a mismatched
+/// stamp is treated as corruption (a renamed or copied snapshot must not
+/// impersonate another version).
+pub(crate) fn read_snapshot(
     vfs: &dyn Vfs,
     path: &Path,
     expect_version: u64,
-) -> Result<SnapshotEnvelope, String> {
+) -> Result<(SnapshotInfo, PerformancePredictor), String> {
     let text = vfs
         .read_to_string(path)
         .map_err(|e| format!("unreadable: {e}"))?;
-    validate_snapshot_text(&text, expect_version)
-}
-
-/// Envelope validation on raw snapshot bytes (shared with `cnnperf
-/// scrub`).
-pub(crate) fn validate_snapshot_text(
-    text: &str,
-    expect_version: u64,
-) -> Result<SnapshotEnvelope, String> {
-    let env: SnapshotEnvelope =
-        serde_json::from_str(text).map_err(|e| format!("unparseable envelope: {e}"))?;
-    if env.schema_version != SNAPSHOT_SCHEMA {
+    let json = durable::unseal(&text).ok_or("torn record or checksum mismatch")?;
+    let record: SnapshotRecord =
+        serde_json::from_str(json).map_err(|e| format!("unparseable record: {e}"))?;
+    if record.schema != SNAPSHOT_SCHEMA {
         return Err(format!(
             "schema version {} (want {SNAPSHOT_SCHEMA})",
-            env.schema_version
+            record.schema
         ));
     }
-    if env.meta.version != expect_version {
+    if record.meta.version != expect_version {
         return Err(format!(
             "version stamp {} contradicts filename version {expect_version}",
-            env.meta.version
+            record.meta.version
         ));
     }
-    let actual = predictor_checksum(&env.predictor);
-    if actual != env.checksum {
-        return Err(format!(
-            "checksum mismatch: stored {:#018x}, computed {actual:#018x}",
-            env.checksum
-        ));
-    }
-    Ok(env)
+    let info = SnapshotInfo {
+        meta: record.meta,
+        path: path.to_path_buf(),
+        checksum: durable::fnv1a(json.as_bytes()),
+    };
+    Ok((info, record.predictor))
 }
 
 /// The versioned snapshot store rooted at one directory.
@@ -250,22 +214,18 @@ impl ModelStore {
         let mut report = ScanReport::default();
         let mut entries: Vec<SnapshotInfo> = Vec::new();
         let mut max_seen: u64 = 0;
+        // a crash mid-write leaves only the temp file; it never became
+        // visible, so sweeping it is safe
+        report.tmp_swept = durable::sweep_tmps(&*self.vfs, &self.dir);
+        TMP_SWEPT.add(report.tmp_swept as u64);
         let names = self
             .vfs
             .read_dir(&self.dir)
             .map_err(|e| StoreError::Init(format!("read {}: {e}", self.dir.display())))?;
         for name in names {
             let path = self.dir.join(&name);
-            if name.contains(".tmp.") {
-                // a crash mid-write leaves only the temp file; it never
-                // became visible, so sweeping it is safe
-                let _ = self.vfs.remove_file(&path);
-                TMP_SWEPT.inc();
-                report.tmp_swept += 1;
-                continue;
-            }
             if let Some(v) = name
-                .strip_suffix(".corrupt")
+                .strip_suffix(durable::QUARANTINE_SUFFIX)
                 .or_else(|| name.strip_suffix(".demoted"))
                 .and_then(parse_snapshot_version)
             {
@@ -281,26 +241,18 @@ impl ModelStore {
             SNAPSHOTS_SCANNED.inc();
             report.scanned += 1;
             match read_snapshot(&*self.vfs, &path, version) {
-                Ok(env) => {
+                Ok((info, _)) => {
                     SNAPSHOTS_LOADED.inc();
                     report.loaded += 1;
-                    entries.push(SnapshotInfo {
-                        meta: env.meta,
-                        path,
-                        checksum: env.checksum,
-                    });
+                    entries.push(info);
                 }
                 Err(reason) => {
-                    let q = quarantine_path(&path);
-                    match self.vfs.rename(&path, &q) {
-                        Ok(()) => {
-                            let _ = sync_parent_dir(&*self.vfs, &path);
-                            eprintln!(
-                                "warning: snapshot {} is corrupt ({reason}); quarantined as {}",
-                                path.display(),
-                                q.display()
-                            )
-                        }
+                    match durable::quarantine(&*self.vfs, &path) {
+                        Ok(q) => eprintln!(
+                            "warning: snapshot {} is corrupt ({reason}); quarantined as {}",
+                            path.display(),
+                            q.display()
+                        ),
                         Err(e) => eprintln!(
                             "warning: snapshot {} is corrupt ({reason}); quarantine failed: {e}",
                             path.display()
@@ -336,34 +288,28 @@ impl ModelStore {
             train_rows,
             note: note.to_string(),
         };
-        let envelope = SnapshotEnvelope {
-            schema_version: SNAPSHOT_SCHEMA,
-            checksum: predictor_checksum(predictor),
+        let record = SnapshotRecord {
+            schema: SNAPSHOT_SCHEMA,
             meta: meta.clone(),
             predictor: predictor.clone(),
         };
-        let json = serde_json::to_string(&envelope)
+        let json = serde_json::to_string(&record)
             .map_err(|e| StoreError::Io(format!("serialize v{version}: {e}")))?;
         let path = self.dir.join(snapshot_filename(version));
-        let tmp = self.dir.join(format!(
-            "{}.tmp.{}",
-            snapshot_filename(version),
-            std::process::id()
-        ));
-        durable_replace(&*self.vfs, &tmp, &path, json.as_bytes())
+        durable::publish(&*self.vfs, &path, durable::seal(&json).as_bytes())
             .map_err(|e| StoreError::Io(format!("publish {}: {e}", path.display())))?;
         SNAPSHOTS_WRITTEN.inc();
         let info = SnapshotInfo {
             meta,
             path,
-            checksum: envelope.checksum,
+            checksum: durable::fnv1a(json.as_bytes()),
         };
         self.entries.push(info.clone());
         self.next_version += 1;
         Ok(info)
     }
 
-    /// Load a specific version, re-validating the envelope on read.
+    /// Load a specific version, re-validating the record on read.
     pub fn load_version(
         &self,
         version: u64,
@@ -373,10 +319,8 @@ impl ModelStore {
             .iter()
             .find(|e| e.meta.version == version)
             .ok_or(StoreError::NotFound(version))?;
-        match read_snapshot(&*self.vfs, &info.path, version) {
-            Ok(env) => Ok((info.clone(), env.predictor)),
-            Err(reason) => Err(StoreError::Io(format!("snapshot v{version}: {reason}"))),
-        }
+        read_snapshot(&*self.vfs, &info.path, version)
+            .map_err(|reason| StoreError::Io(format!("snapshot v{version}: {reason}")))
     }
 
     /// Load the newest valid snapshot — or the pinned one, if a pin marker
@@ -388,12 +332,10 @@ impl ModelStore {
                 return Some(hit);
             }
         }
-        for info in self.entries.iter().rev() {
-            if let Ok(env) = read_snapshot(&*self.vfs, &info.path, info.meta.version) {
-                return Some((info.clone(), env.predictor));
-            }
-        }
-        None
+        self.entries
+            .iter()
+            .rev()
+            .find_map(|info| read_snapshot(&*self.vfs, &info.path, info.meta.version).ok())
     }
 
     /// Pin cold-starts to a specific version (written atomically).
@@ -402,10 +344,7 @@ impl ModelStore {
             return Err(StoreError::NotFound(version));
         }
         let path = self.dir.join(PIN_FILE);
-        let tmp = self
-            .dir
-            .join(format!("{PIN_FILE}.tmp.{}", std::process::id()));
-        durable_replace(&*self.vfs, &tmp, &path, format!("{version}\n").as_bytes())
+        durable::publish(&*self.vfs, &path, format!("{version}\n").as_bytes())
             .map_err(|e| StoreError::Io(format!("publish pin: {e}")))?;
         PINS.inc();
         Ok(())
@@ -461,6 +400,7 @@ impl ModelStore {
 mod tests {
     use super::*;
     use crate::features::feature_names;
+    use crate::vfs::{FaultKind, FaultRule, OpKind, SimFs};
     use mlkit::{Dataset, RegressorKind};
     use std::fs;
 
@@ -568,6 +508,23 @@ mod tests {
         let (reopened, _) = ModelStore::open(&dir).unwrap();
         assert_eq!(reopened.next_version, 3);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_tmp_removal_is_not_counted_as_swept() {
+        let fs = SimFs::new(1);
+        let dir = PathBuf::from("models");
+        let tmp = dir.join("predictor-v000001.json.tmp.999");
+        fs.create_dir_all(&dir).unwrap();
+        fs.write(&tmp, b"partial").unwrap();
+        fs.inject(
+            FaultRule::new(FaultKind::Eio)
+                .on_op(OpKind::Remove)
+                .on_path(".tmp."),
+        );
+        let (_, report) = ModelStore::open_on(fs.handle(), &dir).unwrap();
+        assert_eq!(report.tmp_swept, 0, "a surviving temp file is not swept");
+        assert!(fs.exists(&tmp));
     }
 
     #[test]

@@ -8,22 +8,23 @@
 //! | artifact                      | check                      | repair |
 //! |-------------------------------|----------------------------|--------|
 //! | `*.tmp.*`                     | always stale               | remove |
-//! | `segment-NNNNN.jsonl`         | per-line FNV checksum      | quarantine `.corrupt`, rewrite valid prefix, quarantine later segments |
-//! | `predictor-vNNNNNN.json`      | envelope schema/stamp/sum  | quarantine `.corrupt` |
-//! | `*corpus*.json`               | cache envelope checksum    | quarantine `.corrupt` |
+//! | `segment-NNNNN.jsonl`         | every line unseals         | quarantine `.corrupt`, rewrite valid prefix, quarantine later segments |
+//! | `predictor-vNNNNNN.json`      | unseals, schema, stamp     | quarantine `.corrupt` |
+//! | `*corpus*.json`               | unseals, schema            | quarantine `.corrupt` |
 //! | `PINNED`                      | points at a valid snapshot | remove dangling pin |
 //! | `*.corrupt` / `*.demoted`     | none (evidence)            | reported, kept |
 //!
-//! Repairs are exactly the ones the stores would perform themselves, so
-//! a scrubbed directory opens clean; every destructive step preserves
-//! evidence (quarantine renames rather than deletes) and is published
-//! durably through [`crate::vfs`]. With `apply == false` the same audit
-//! runs read-only.
+//! Each artifact is validated by the decode function of its owning store
+//! and repaired through the same `core::durable` quarantine and publish
+//! the stores use, so a scrubbed directory opens clean; every destructive
+//! step preserves evidence (quarantine renames rather than deletes) and
+//! is durable. With `apply == false` the same audit runs read-only.
 //!
 //! Counter invariant (gated by `cnnperf stats-check`):
 //! `scrub.repaired <= scrub.findings`.
 
-use crate::vfs::{durable_replace, real_fs, sync_parent_dir, Vfs};
+use crate::vfs::{real_fs, sync_parent_dir, Vfs};
+use crate::{cache, durable, journal, modelstore};
 use std::path::{Path, PathBuf};
 
 /// Findings recorded across all scrubs (informational ones included).
@@ -179,16 +180,12 @@ fn scrub_one_dir(
     report: &mut ScrubReport,
 ) -> std::io::Result<()> {
     report.dirs_visited += 1;
-    let names = vfs.read_dir(dir)?;
     // valid snapshot versions in this dir, for pin consistency
     let mut valid_versions: Vec<u64> = Vec::new();
-    let mut pin_name: Option<String> = None;
-    // journal segments sort by index so "later than the first corrupt
-    // one" is well-defined
-    let mut poisoned_from: Option<u32> = None;
-    let mut segments: Vec<(u32, String)> = Vec::new();
+    let mut pinned = false;
+    let mut segments: Vec<(u32, PathBuf)> = Vec::new();
 
-    for name in &names {
+    for name in &vfs.read_dir(dir)? {
         let path = dir.join(name);
         if !vfs.exists(&path) {
             continue;
@@ -201,197 +198,123 @@ fn scrub_one_dir(
         SCRUB_CHECKED.inc();
         report.files_checked += 1;
 
-        if name.contains(".tmp.") {
-            let repair = if opts.apply {
-                match vfs.remove_file(&path) {
-                    Ok(()) => {
-                        let _ = sync_parent_dir(vfs, &path);
-                        Repair::Removed
-                    }
-                    Err(e) => Repair::Failed(e.to_string()),
-                }
-            } else {
-                Repair::Skipped
-            };
-            report.push(
-                &path,
-                FindingKind::OrphanTmp,
-                "stale temp file from a crashed publish".into(),
-                repair,
-            );
-            continue;
-        }
-        if name.ends_with(".corrupt") || name.ends_with(".demoted") {
-            report.push(
-                &path,
-                FindingKind::Evidence,
-                "preserved evidence from an earlier incident".into(),
-                Repair::NotNeeded,
-            );
-            continue;
-        }
-        if let Some(idx) = crate::journal::segment_index(name) {
-            segments.push((idx, name.clone()));
-            continue; // handled after the listing pass, in index order
-        }
-        if name == "PINNED" {
-            pin_name = Some(name.clone());
-            continue; // checked after snapshots are validated
-        }
-        if let Some(version) = crate::modelstore::parse_snapshot_version(name) {
-            match vfs
-                .read_to_string(&path)
-                .map_err(|e| format!("unreadable: {e}"))
-                .and_then(|t| crate::modelstore::validate_snapshot_text(&t, version).map(|_| ()))
-            {
-                Ok(()) => valid_versions.push(version),
+        if durable::is_tmp(name) {
+            let repair = remove_repair(vfs, &path, opts);
+            let detail = "stale temp file from a crashed publish".into();
+            report.push(&path, FindingKind::OrphanTmp, detail, repair);
+        } else if name.ends_with(durable::QUARANTINE_SUFFIX) || name.ends_with(".demoted") {
+            let detail = "preserved evidence from an earlier incident".into();
+            report.push(&path, FindingKind::Evidence, detail, Repair::NotNeeded);
+        } else if let Some(idx) = journal::segment_index(name) {
+            // handled after the listing pass, in index order
+            segments.push((idx, path));
+        } else if name == modelstore::PIN_FILE {
+            // checked after snapshots are validated
+            pinned = true;
+        } else if let Some(version) = modelstore::parse_snapshot_version(name) {
+            match modelstore::read_snapshot(vfs, &path, version) {
+                Ok(_) => valid_versions.push(version),
                 Err(reason) => {
                     let repair = quarantine_repair(vfs, &path, opts);
                     report.push(&path, FindingKind::CorruptSnapshot, reason, repair);
                 }
             }
-            continue;
-        }
-        if name.ends_with(".json") && name.contains("corpus") {
-            match vfs
-                .read_to_string(&path)
-                .map_err(|e| format!("unreadable: {e}"))
-                .and_then(|t| crate::cache::validate_envelope(&t))
-            {
-                Ok(()) => {}
-                Err(reason) => {
-                    let repair = quarantine_repair(vfs, &path, opts);
-                    report.push(&path, FindingKind::CorruptCache, reason, repair);
-                }
+        } else if name.ends_with(".json") && name.contains("corpus") {
+            if let Err(reason) = read(vfs, &path).and_then(|t| cache::decode(&t)) {
+                let repair = quarantine_repair(vfs, &path, opts);
+                report.push(&path, FindingKind::CorruptCache, reason, repair);
             }
-            continue;
         }
         // anything else (figures, benches, unrelated files) is not ours
     }
 
-    // journal segments, in index order
+    // journal segments, in index order, so "later than the first corrupt
+    // one" is well-defined
     segments.sort();
-    for (idx, name) in &segments {
-        let path = dir.join(name);
-        if poisoned_from.is_some_and(|from| *idx > from) {
+    let mut poisoned_from: Option<u32> = None;
+    for (idx, path) in &segments {
+        if let Some(from) = poisoned_from {
             // a segment after a corrupt one: ordering is untrustworthy,
             // quarantine wholesale exactly like journal replay does
-            let repair = quarantine_repair(vfs, &path, opts);
-            report.push(
-                &path,
-                FindingKind::SuspectSegment,
-                format!(
-                    "follows corrupt segment {from:05}",
-                    from = poisoned_from.unwrap()
-                ),
-                repair,
-            );
+            let repair = quarantine_repair(vfs, path, opts);
+            let detail = format!("follows corrupt segment {from:05}");
+            report.push(path, FindingKind::SuspectSegment, detail, repair);
             continue;
         }
-        let text = match vfs.read_to_string(&path) {
+        let text = match read(vfs, path) {
             Ok(t) => t,
-            Err(e) => {
-                let repair = quarantine_repair(vfs, &path, opts);
-                report.push(
-                    &path,
-                    FindingKind::CorruptSegment,
-                    format!("unreadable: {e}"),
-                    repair,
-                );
+            Err(detail) => {
+                let repair = quarantine_repair(vfs, path, opts);
+                report.push(path, FindingKind::CorruptSegment, detail, repair);
                 poisoned_from = Some(*idx);
                 continue;
             }
         };
-        let (valid_lines, bad) = crate::journal::segment_valid_prefix(&text);
-        if !bad {
+        let (records, valid) = journal::read_segment(&text);
+        if valid == text.len() {
             continue;
         }
         poisoned_from = Some(*idx);
-        let detail = format!("corrupt line after {} valid record(s)", valid_lines.len());
-        let repair = if opts.apply {
-            match repair_segment(vfs, &path, &valid_lines) {
-                Ok(rewrote) => {
-                    if rewrote {
-                        Repair::PrefixRewritten
-                    } else {
-                        Repair::Quarantined
-                    }
-                }
+        let detail = format!("corrupt line after {} valid record(s)", records.len());
+        let repair = if !opts.apply {
+            Repair::Skipped
+        } else {
+            match journal::repair_segment(vfs, path, &text[..valid]) {
+                Ok(true) => Repair::PrefixRewritten,
+                Ok(false) => Repair::Quarantined,
                 Err(e) => Repair::Failed(e.to_string()),
             }
-        } else {
-            Repair::Skipped
         };
-        report.push(&path, FindingKind::CorruptSegment, detail, repair);
+        report.push(path, FindingKind::CorruptSegment, detail, repair);
     }
 
     // pin consistency: a pin must point at a valid snapshot in this dir
-    if let Some(name) = pin_name {
-        let path = dir.join(&name);
+    if pinned {
+        let path = dir.join(modelstore::PIN_FILE);
         let target: Option<u64> = vfs
             .read_to_string(&path)
             .ok()
             .and_then(|t| t.trim().parse().ok());
-        let ok = target.is_some_and(|v| valid_versions.contains(&v));
-        if !ok {
+        if !target.is_some_and(|v| valid_versions.contains(&v)) {
             let detail = match target {
                 Some(v) => format!("pinned version {v} has no valid snapshot"),
                 None => "unparseable pin marker".into(),
             };
-            let repair = if opts.apply {
-                match vfs.remove_file(&path) {
-                    Ok(()) => {
-                        let _ = sync_parent_dir(vfs, &path);
-                        Repair::Removed
-                    }
-                    Err(e) => Repair::Failed(e.to_string()),
-                }
-            } else {
-                Repair::Skipped
-            };
+            let repair = remove_repair(vfs, &path, opts);
             report.push(&path, FindingKind::DanglingPin, detail, repair);
         }
     }
     Ok(())
 }
 
-/// Rename `path` aside to `.corrupt`, durably. Returns the repair result.
-fn quarantine_repair(vfs: &dyn Vfs, path: &Path, opts: ScrubOptions) -> Repair {
+fn read(vfs: &dyn Vfs, path: &Path) -> Result<String, String> {
+    vfs.read_to_string(path)
+        .map_err(|e| format!("unreadable: {e}"))
+}
+
+/// Remove `path` durably (orphan tmps, dangling pins).
+fn remove_repair(vfs: &dyn Vfs, path: &Path, opts: ScrubOptions) -> Repair {
     if !opts.apply {
         return Repair::Skipped;
     }
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".corrupt");
-    match vfs.rename(path, &path.with_file_name(name)) {
+    match vfs.remove_file(path) {
         Ok(()) => {
             let _ = sync_parent_dir(vfs, path);
-            Repair::Quarantined
+            Repair::Removed
         }
         Err(e) => Repair::Failed(e.to_string()),
     }
 }
 
-/// Quarantine a torn segment and rewrite its valid prefix under the live
-/// name (durable), mirroring journal replay's own repair. Returns whether
-/// a prefix was rewritten.
-fn repair_segment(vfs: &dyn Vfs, path: &Path, valid_lines: &[&str]) -> std::io::Result<bool> {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".corrupt");
-    vfs.rename(path, &path.with_file_name(name))?;
-    sync_parent_dir(vfs, path)?;
-    if valid_lines.is_empty() {
-        return Ok(false);
+/// Rename `path` aside to `.corrupt`, durably.
+fn quarantine_repair(vfs: &dyn Vfs, path: &Path, opts: ScrubOptions) -> Repair {
+    if !opts.apply {
+        return Repair::Skipped;
     }
-    let mut prefix = String::new();
-    for line in valid_lines {
-        prefix.push_str(line);
-        prefix.push('\n');
+    match durable::quarantine(vfs, path) {
+        Ok(_) => Repair::Quarantined,
+        Err(e) => Repair::Failed(e.to_string()),
     }
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = path.with_file_name(tmp_name);
-    durable_replace(vfs, &tmp, path, prefix.as_bytes())?;
-    Ok(true)
 }
 
 #[cfg(test)]
@@ -476,6 +399,77 @@ mod tests {
         assert_eq!(report.findings[0].repair, Repair::Quarantined);
         assert!(fs.exists(&p("models/predictor-v000003.json.corrupt")));
         assert!(!fs.exists(&p("models/predictor-v000003.json")));
+    }
+
+    /// A file in the parent commit's envelope format:
+    /// `{"schema_version":1,"checksum":<fnv1a of payload json>,…}`.
+    fn parent_envelope(fields: &[(&str, String)], payload: &str) -> String {
+        let mut text = format!(
+            r#"{{"schema_version":1,"checksum":{}"#,
+            durable::fnv1a(payload.as_bytes())
+        );
+        for (key, json) in fields {
+            text.push_str(&format!(r#","{key}":{json}"#));
+        }
+        text + "}"
+    }
+
+    fn parent_format_state(fs: &std::sync::Arc<SimFs>) {
+        use crate::features::feature_names;
+        let names = feature_names();
+        let corpus = crate::pipeline::Corpus {
+            dataset: mlkit::Dataset::new(names.clone()),
+            samples: Vec::new(),
+            profiles: Vec::new(),
+        };
+        let corpus = serde_json::to_string(&corpus).unwrap();
+        let mut data = mlkit::Dataset::new(names.clone());
+        for i in 0..8 {
+            data.push(format!("r{i}"), vec![i as f64; names.len()], i as f64);
+        }
+        let predictor =
+            crate::model::PerformancePredictor::train(&data, mlkit::RegressorKind::DecisionTree, 1);
+        let predictor = serde_json::to_string(&predictor).unwrap();
+        let meta = r#"{"version":1,"kind":"decision-tree","train_rows":8,"note":"v1"}"#;
+        fs.create_dir_all(&p("state/models")).unwrap();
+        let cache = parent_envelope(&[("corpus", corpus.clone())], &corpus);
+        fs.write(&p("state/corpus.json"), cache.as_bytes()).unwrap();
+        let fields = [("meta", meta.to_string()), ("predictor", predictor.clone())];
+        let snapshot = parent_envelope(&fields, &predictor);
+        fs.write(
+            &p("state/models/predictor-v000001.json"),
+            snapshot.as_bytes(),
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn parent_format_files_are_quarantined_by_their_stores() {
+        let fs = SimFs::new(1);
+        parent_format_state(&fs);
+        assert!(matches!(
+            crate::cache::load_corpus_on(&fs, &p("state/corpus.json")),
+            Err(crate::cache::CacheMiss::Quarantined(_))
+        ));
+        let (store, report) =
+            crate::modelstore::ModelStore::open_on(fs.handle(), &p("state/models")).unwrap();
+        assert_eq!(report.quarantined, 1);
+        assert!(store.load_latest().is_none());
+        assert!(fs.exists(&p("state/corpus.json.corrupt")));
+        assert!(fs.exists(&p("state/models/predictor-v000001.json.corrupt")));
+    }
+
+    #[test]
+    fn parent_format_files_are_quarantined_by_scrub() {
+        let fs = SimFs::new(1);
+        parent_format_state(&fs);
+        let report = scrub_dir(&fs, &p("state"), ScrubOptions::default()).unwrap();
+        let mut labels: Vec<_> = report.findings.iter().map(|f| f.kind.label()).collect();
+        labels.sort();
+        assert_eq!(labels, ["corrupt-cache", "corrupt-snapshot"]);
+        assert_eq!(report.unrepaired(), 0);
+        assert!(fs.exists(&p("state/corpus.json.corrupt")));
+        assert!(fs.exists(&p("state/models/predictor-v000001.json.corrupt")));
     }
 
     #[test]

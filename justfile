@@ -135,19 +135,24 @@ lifecycle-smoke:
     "$bin" models unpin --model-dir "$mdir"
     echo "lifecycle-smoke OK: torn snapshot quarantined, v1 served byte-identically"
 
-# Storage-fault acceptance. Three layers: the crash-point enumeration
-# oracle (every mutating VFS op in the journal / cache / modelstore
-# workloads is a crash point, and every enumerated crash must recover
-# invariant-clean), the SimFs model-based property suite (any seeded op
-# and crash schedule yields a durable image equal to an fsync-consistent
-# prefix of the op history), and two RealFs drills: a journaled mini
-# corpus build must issue real fsyncs (vfs.sync_file / vfs.sync_dir
-# nonzero in the stats snapshot), and `scrub` over a fault-littered state
-# dir must repair everything it finds, exit 0, and leave a second pass
-# with nothing but quarantine evidence.
+# Storage-fault acceptance. Four layers: the store, scrub and
+# core::durable unit tests plus the journal resume suite (tier-1 runs
+# only the root package, so they would otherwise not gate storage), the
+# crash-point enumeration oracle (every mutating VFS op in the journal /
+# cache / modelstore workloads is a crash point, and every enumerated
+# crash must recover invariant-clean), the SimFs model-based property
+# suite (any seeded op and crash schedule yields a durable image equal
+# to an fsync-consistent prefix of the op history), and two RealFs
+# drills: a journaled mini corpus build must issue real fsyncs
+# (vfs.sync_file / vfs.sync_dir nonzero in the stats snapshot), and
+# `scrub` over a fault-littered state dir must repair everything it
+# finds, exit 0, and leave a second pass with nothing but quarantine
+# evidence.
 crash-sim:
     #!/usr/bin/env bash
     set -euo pipefail
+    timeout 600 cargo test -q -p cnnperf-core --lib
+    timeout 600 cargo test -q --test journal_resume
     timeout 600 cargo test -q --test crash_enum
     timeout 300 cargo test -q -p cnnperf-core --test vfs_props
     cargo build --release

@@ -78,14 +78,24 @@ fn resume_after_truncated_journal_matches_clean_build() {
 
     // full journaled build, then simulate a SIGKILL mid-build by
     // truncating the segment to a record prefix (the journal is
-    // flush-per-append, so a killed build leaves exactly such a prefix)
+    // flush-per-append, so a killed build leaves exactly such a prefix).
+    // The cut lands just after the first cell: parallel workers may
+    // journal every model record before any cell, and replay is keyed by
+    // (model hash, device), not by record order.
     let dir = fresh_dir("truncate");
     let _ = build_journaled(&dir, &cfg, false);
     let seg = dir.join("segment-00000.jsonl");
     let text = std::fs::read_to_string(&seg).expect("segment");
     let lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() >= 4, "expected meta+model+cell records");
-    let prefix: String = lines[..3].iter().map(|l| format!("{l}\n")).collect();
+    let first_cell = lines
+        .iter()
+        .position(|l| l.contains(r#" {"Cell":"#))
+        .expect("a journaled cell");
+    let prefix: String = lines[..=first_cell]
+        .iter()
+        .map(|l| format!("{l}\n"))
+        .collect();
     std::fs::write(&seg, prefix).expect("truncate");
 
     let before = obs::global().snapshot();
