@@ -39,7 +39,8 @@
 //! uninterrupted build under [`crate::pipeline::Corpus::canonical_json`].
 
 use crate::durable;
-use crate::features::CnnProfile;
+use crate::features::{CnnProfile, DEFAULT_SM_TARGET};
+use crate::pipeline::RobustConfig;
 use crate::vfs::{real_fs, Vfs, VfsFile};
 use gpu_sim::{FaultProfile, RetryPolicy, RobustProfile};
 use serde::{Deserialize, Serialize};
@@ -92,6 +93,21 @@ pub struct BuildMeta {
     pub retry: RetryPolicy,
     pub faults: FaultProfile,
     pub strict: bool,
+}
+
+impl BuildMeta {
+    /// The fingerprint of a build under `cfg`, lowering to the default
+    /// sm target.
+    pub fn for_config(cfg: &RobustConfig) -> Self {
+        BuildMeta {
+            schema: JOURNAL_SCHEMA,
+            sm_target: DEFAULT_SM_TARGET.to_string(),
+            runs: cfg.runs,
+            retry: cfg.retry.clone(),
+            faults: cfg.faults.clone(),
+            strict: cfg.strict,
+        }
+    }
 }
 
 /// Result of one journaled cell: either the full robust profile or the

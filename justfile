@@ -17,6 +17,12 @@ clippy:
 test:
     cargo test -q --workspace
 
+# The root suite pinned to one CPU. The rayon shim sizes its pool from
+# available_parallelism(), which honours the affinity mask, so every
+# parallel path runs with a single worker.
+test-1cpu:
+    taskset -c 0 timeout 1800 cargo test -q
+
 # Fault/chaos acceptance suites. Seeds are fixed in the test sources, so a
 # pass is reproducible byte-for-byte; `timeout` is the last-resort watchdog
 # should the deadline machinery itself wedge.

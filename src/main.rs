@@ -12,12 +12,13 @@
 
 use cnnperf::prelude::*;
 use cnnperf_core::{
-    build_corpus_robust_with, BuildMeta, BuildOptions, Journal, JournalError, Replay, ScrubOptions,
-    SuperviseConfig, Supervisor, DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
+    build_corpus_robust_with, BuildMeta, BuildOptions, Journal, JournalError, ScrubOptions,
+    SuperviseConfig, Supervisor, DEFAULT_SM_TARGET,
 };
 use gpu_sim::{estimate_power, ChaosProfile, SimMode, Simulator};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 /// Exit-code taxonomy (documented in the README): `0` success, `1`
 /// generic failure, then one code per distinguishable operational
@@ -38,140 +39,253 @@ const EXIT_MODELSTORE: u8 = 7;
 /// `scrub` found damage it could not (or was not allowed to) repair.
 const EXIT_SCRUB: u8 = 8;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: cnnperf <command> [args]\n\
-         commands:\n\
-           list                          list zoo models, variants and devices\n\
-           analyze <model>               static analyzer + executed-instruction count\n\
-           profile <model> <device>      ground-truth simulation (IPC, latency, power)\n\
-           predict <model> [<device>|--all-devices] [--regressor dt|knn|rf|xgb|lr]\n\
-           rank <model> [--journal-dir DIR] [--resume] [--cell-timeout-ms N]\n\
-                [--stats json|prom]      rank all devices by predicted IPC (warm: the\n\
-                                         analysis cache skips repeated DCA; a corpus\n\
-                                         cache miss rebuilds under the given journal)\n\
-           corpus [--strict] [--runs N] [--fault-profile none|light|harsh|k=v,..]\n\
-                  [--models m1,m2,..] [--devices d1,d2,..]\n\
-                  [--journal-dir DIR] [--resume] [--cell-timeout-ms N]\n\
-                  [--chaos none|k=v,..] [--out FILE]\n\
-                  [--stats json|prom]    build the training corpus under the robust\n\
-                                         measurement protocol and print its health\n\
-                                         report; --journal-dir checkpoints every cell\n\
-                                         so --resume skips completed work after a\n\
-                                         crash, --cell-timeout-ms arms the watchdog\n\
-                                         that cancels silent cells, --out writes the\n\
-                                         canonical (wall-clock-free) corpus JSON\n\
-           estimate <models> <devices|--all-devices> [--deadline-ms N] [--tiers t1,t2,..]\n\
-                    [--chaos none|k=v,..] [--queue-capacity N] [--stats json|prom]\n\
-                                         deadline-bounded batch estimation through the\n\
-                                         tiered engine (detailed > analytical > regressor\n\
-                                         > stale-cache); models/devices comma-separated\n\
-           serve [--socket PATH] [--metrics ADDR] [--workers N]\n\
-                 [--deadlines I,B,E] [--quotas I,B,E] [--max-retries N]\n\
-                 [--retry-backoff-ms N] [--no-revalidate] [--tiers t1,t2,..]\n\
-                 [--chaos none|k=v,..] [--max-frame-bytes N] [--frame-stall-ms N]\n\
-                 [--drain-deadline-ms N] [--stats-dump json|prom]\n\
-                 [--model-dir DIR] [--retrain-interval-s N] [--shadow-window N]\n\
-                 [--promotion-threshold F] [--drift-window N] [--drift-threshold F]\n\
-                                         persistent NDJSON estimation server over a\n\
-                                         Unix socket (or stdin/stdout without\n\
-                                         --socket); per-client QoS classes\n\
-                                         (interactive|batch|best-effort) with\n\
-                                         admission control and request coalescing;\n\
-                                         --metrics serves live Prometheus from the\n\
-                                         same loop; SIGTERM drains gracefully;\n\
-                                         --model-dir arms the predictor lifecycle:\n\
-                                         cold-start from the newest valid snapshot,\n\
-                                         background retraining from served ground\n\
-                                         truth, shadow-gated promotion, drift\n\
-                                         rollback, crash-safe snapshots\n\
-           models <list|inspect V|pin V|unpin|rollback> --model-dir DIR\n\
-                                         inspect and steer the snapshot store:\n\
-                                         `pin` freezes cold-starts to a version,\n\
-                                         `rollback` demotes the newest snapshot so\n\
-                                         the previous one serves\n\
-           scrub <dir> [--dry-run] [--stats json|prom]\n\
-                                         audit a state directory (corpus caches,\n\
-                                         cell journals, snapshot stores): checksum\n\
-                                         every artifact, sweep orphan temp files,\n\
-                                         quarantine corrupt files, rewrite valid\n\
-                                         journal prefixes, remove dangling pins;\n\
-                                         --dry-run reports without touching disk\n\
-           stats-check <file>            validate the metrics snapshot emitted by\n\
-                                         `--stats json` (last JSON line of <file>):\n\
-                                         schema, shape, and counter invariants\n\
-           ptx <model>                   print the generated PTX module\n\
-           dot <model>                   print the model graph as Graphviz\n\
-         global flags (any command):\n\
-           --count-mode auto|poly|interp|bruteforce\n\
-                                         how the dynamic code analysis counts\n\
-                                         executed instructions: `auto` (default)\n\
-                                         compiles kernels to closed-form trip-count\n\
-                                         polynomials and falls back to the dense\n\
-                                         interpreter per kernel/launch; `poly` makes\n\
-                                         a fallback a hard error (diagnostics);\n\
-                                         `interp` forces the interpreter;\n\
-                                         `bruteforce` executes every thread\n\
-                                         (validation only — exponentially slower)\n\
-         exit codes: 0 ok, 1 failure, 2 usage/config error, 3 overloaded,\n\
-                     4 deadline exceeded, 5 corrupt cache/journal,\n\
-                     6 server bind/socket error, 7 model store init failure,\n\
-                     8 scrub found unrepaired damage"
-    );
-    ExitCode::from(EXIT_USAGE)
+const USAGE: &str = "\
+usage: cnnperf <command> [args]
+commands:
+  list                          list zoo models, variants and devices
+  analyze <model>               static analyzer + executed-instruction count
+  profile <model> <device>      ground-truth simulation (IPC, latency, power)
+  predict <model> [<device>|--all-devices] [--regressor dt|knn|rf|xgb|lr]
+  rank <model> [--journal-dir DIR] [--resume] [--cell-timeout-ms N]
+       [--stats json|prom]      rank all devices by predicted IPC (warm: the
+                                analysis cache skips repeated DCA; a corpus
+                                cache miss rebuilds under the given journal)
+  corpus [--strict] [--runs N] [--fault-profile none|light|harsh|k=v,..]
+         [--models m1,m2,..] [--devices d1,d2,..]
+         [--journal-dir DIR] [--resume] [--cell-timeout-ms N]
+         [--chaos none|k=v,..] [--out FILE]
+         [--stats json|prom]    build the training corpus under the robust
+                                measurement protocol and print its health
+                                report; --journal-dir checkpoints every cell
+                                so --resume skips completed work after a
+                                crash, --cell-timeout-ms arms the watchdog
+                                that cancels silent cells, --out writes the
+                                canonical (wall-clock-free) corpus JSON
+  estimate <models> <devices|--all-devices> [--deadline-ms N] [--tiers t1,t2,..]
+           [--chaos none|k=v,..] [--queue-capacity N] [--stats json|prom]
+                                deadline-bounded batch estimation through the
+                                tiered engine (detailed > analytical > regressor
+                                > stale-cache); models/devices comma-separated
+  serve [--socket PATH] [--metrics ADDR] [--workers N]
+        [--deadlines I,B,E] [--quotas I,B,E] [--max-retries N]
+        [--retry-backoff-ms N] [--no-revalidate] [--tiers t1,t2,..]
+        [--chaos none|k=v,..] [--max-frame-bytes N] [--frame-stall-ms N]
+        [--drain-deadline-ms N] [--stats-dump json|prom]
+        [--model-dir DIR] [--retrain-interval-s N] [--shadow-window N]
+        [--promotion-threshold F] [--drift-window N] [--drift-threshold F]
+                                persistent NDJSON estimation server over a
+                                Unix socket (or stdin/stdout without
+                                --socket); per-client QoS classes
+                                (interactive|batch|best-effort) with
+                                admission control and request coalescing;
+                                --metrics serves live Prometheus from the
+                                same loop; SIGTERM drains gracefully;
+                                --model-dir arms the predictor lifecycle:
+                                cold-start from the newest valid snapshot,
+                                background retraining from served ground
+                                truth, shadow-gated promotion, drift
+                                rollback, crash-safe snapshots
+  models <list|inspect V|pin V|unpin|rollback> --model-dir DIR
+                                inspect and steer the snapshot store:
+                                `pin` freezes cold-starts to a version,
+                                `rollback` demotes the newest snapshot so
+                                the previous one serves
+  scrub <dir> [--dry-run] [--stats json|prom]
+                                audit a state directory (corpus caches,
+                                cell journals, snapshot stores): checksum
+                                every artifact, sweep orphan temp files,
+                                quarantine corrupt files, rewrite valid
+                                journal prefixes, remove dangling pins;
+                                --dry-run reports without touching disk
+  stats-check <file>            validate the metrics snapshot emitted by
+                                `--stats json` (last JSON line of <file>):
+                                schema, shape, and counter invariants
+  ptx <model>                   print the generated PTX module
+  dot <model>                   print the model graph as Graphviz
+global flags (any command):
+  --count-mode auto|poly|interp|bruteforce
+                                how the dynamic code analysis counts
+                                executed instructions: `auto` (default)
+                                compiles kernels to closed-form trip-count
+                                polynomials and falls back to the dense
+                                interpreter per kernel/launch; `poly` makes
+                                a fallback a hard error (diagnostics);
+                                `interp` forces the interpreter;
+                                `bruteforce` executes every thread
+                                (validation only — exponentially slower)
+flags may appear in any position; an unknown flag, a flag without its value
+or an extra argument is a usage error (exit 2)
+exit codes: 0 ok, 1 failure, 2 usage/config error, 3 overloaded,
+            4 deadline exceeded, 5 corrupt cache/journal,
+            6 server bind/socket error, 7 model store init failure,
+            8 scrub found unrepaired damage";
+
+/// A usage error: `main` prints it once and exits [`EXIT_USAGE`].
+struct Usage(String);
+
+/// The full usage text, for a missing command or argument.
+fn usage() -> Usage {
+    Usage(USAGE.to_string())
 }
 
-fn model_or_exit(name: &str) -> cnn_ir::ModelGraph {
-    match cnn_ir::zoo::build_any(name) {
-        Some(m) => m,
-        None => {
-            eprintln!("unknown model '{name}' — see `cnnperf list`");
-            std::process::exit(EXIT_USAGE as i32);
+/// The flags one command declares: `switches` stand alone, `options` take
+/// the next argument as their value.
+struct Flags {
+    switches: &'static [&'static str],
+    options: &'static [&'static str],
+}
+
+const NO_FLAGS: Flags = Flags {
+    switches: &[],
+    options: &[],
+};
+
+/// Options every command accepts.
+const GLOBAL_OPTIONS: &[&str] = &["--count-mode"];
+
+/// A command line split against its command's [`Flags`]. Flags may appear
+/// in any position; for a repeated option the last value wins.
+#[derive(Default)]
+struct Args<'a> {
+    positional: Vec<&'a str>,
+    switches: Vec<&'a str>,
+    options: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    /// Split `args` for `cmd`, which takes at most `positionals` of them.
+    fn parse(
+        cmd: &str,
+        positionals: usize,
+        flags: &Flags,
+        args: &[&'a str],
+    ) -> Result<Self, Usage> {
+        let mut parsed = Args::default();
+        let mut it = args.iter().copied();
+        while let Some(arg) = it.next() {
+            if flags.switches.contains(&arg) {
+                parsed.switches.push(arg);
+            } else if flags.options.contains(&arg) || GLOBAL_OPTIONS.contains(&arg) {
+                let value = it
+                    .next()
+                    .ok_or_else(|| Usage(format!("{arg} needs a value")))?;
+                parsed.options.push((arg, value));
+            } else if arg.starts_with("--") {
+                return Err(Usage(format!("unknown {cmd} flag `{arg}`")));
+            } else if parsed.positional.len() < positionals {
+                parsed.positional.push(arg);
+            } else {
+                return Err(Usage(format!("{cmd}: unexpected argument `{arg}`")));
+            }
         }
+        Ok(parsed)
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    fn arg(&self, i: usize) -> Option<&'a str> {
+        self.positional.get(i).copied()
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.options
+            .iter()
+            .rev()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| *v)
+    }
+
+    /// `flag`'s value through `parse`; a rejected value reads "`flag`
+    /// needs `what`".
+    fn get<T>(
+        &self,
+        flag: &str,
+        what: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<Option<T>, Usage> {
+        self.value(flag)
+            .map(|v| parse(v).ok_or_else(|| Usage(format!("{flag} needs {what}"))))
+            .transpose()
+    }
+
+    /// `flag`'s value through a parser that explains its own rejections.
+    fn parsed<T>(
+        &self,
+        flag: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, Usage> {
+        self.value(flag)
+            .map(|v| parse(v).map_err(|e| Usage(format!("bad {flag}: {e}"))))
+            .transpose()
+    }
+
+    /// An integer option of at least `min`.
+    fn int<T: FromStr + PartialOrd + From<u8>>(
+        &self,
+        flag: &str,
+        min: u8,
+    ) -> Result<Option<T>, Usage> {
+        let what = match min {
+            0 => "an integer".to_string(),
+            1 => "a positive integer".to_string(),
+            m => format!("an integer >= {m}"),
+        };
+        self.get(flag, &what, |v| {
+            v.parse().ok().filter(|n| *n >= T::from(min))
+        })
+    }
+
+    /// A finite number option accepted by `ok`.
+    fn float(&self, flag: &str, what: &str, ok: fn(f64) -> bool) -> Result<Option<f64>, Usage> {
+        self.get(flag, what, |v| {
+            v.parse().ok().filter(|f: &f64| f.is_finite() && ok(*f))
+        })
+    }
+
+    fn stats(&self, flag: &str) -> Result<Option<StatsFormat>, Usage> {
+        self.get(flag, "`json` or `prom`", StatsFormat::parse)
     }
 }
 
-/// Run the full model analysis, exiting cleanly on failure — reachable
-/// from the CLI via `--count-mode poly` when the strict tier refuses a
-/// kernel it cannot compile.
-fn analysis_or_exit(
-    model: &cnn_ir::ModelGraph,
-) -> (
-    cnnperf_core::CnnProfile,
-    ptx::kernel::LaunchPlan,
-    ptx_analysis::PlanCount,
-    cnn_ir::ModelSummary,
-) {
-    match profile_model(model) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("analysis failed: {e}");
-            std::process::exit(1);
-        }
-    }
+/// Parse `--deadlines I,B,E` / `--quotas I,B,E` triples (interactive,
+/// batch, best-effort) of positive integers.
+fn positive_triple<T: FromStr + PartialOrd + From<u8>>(spec: &str) -> Option<[T; 3]> {
+    let mut parts = spec.split(',').map(|s| s.trim().parse::<T>().ok());
+    let triple = [parts.next()??, parts.next()??, parts.next()??];
+    let positive = triple.iter().all(|v| *v >= T::from(1));
+    (parts.next().is_none() && positive).then_some(triple)
 }
 
-fn device_or_exit(name: &str) -> gpu_sim::DeviceSpec {
-    match gpu_sim::device_by_name(name) {
-        Some(d) => d,
-        None => {
-            eprintln!("unknown device '{name}' — see `cnnperf list`");
-            std::process::exit(EXIT_USAGE as i32);
-        }
-    }
+fn model(name: &str) -> Result<cnn_ir::ModelGraph, Usage> {
+    cnn_ir::zoo::build_any(name)
+        .ok_or_else(|| Usage(format!("unknown model '{name}' — see `cnnperf list`")))
 }
 
-fn regressor_of(flag: Option<&str>) -> RegressorKind {
-    match flag.unwrap_or("dt") {
-        "dt" => RegressorKind::DecisionTree,
-        "knn" => RegressorKind::KNearestNeighbors,
-        "rf" => RegressorKind::RandomForest,
-        "xgb" => RegressorKind::XgBoost,
-        "lr" => RegressorKind::LinearRegression,
-        other => {
-            eprintln!("unknown regressor '{other}' (dt|knn|rf|xgb|lr)");
-            std::process::exit(EXIT_USAGE as i32);
-        }
+fn device(name: &str) -> Result<gpu_sim::DeviceSpec, Usage> {
+    gpu_sim::device_by_name(name)
+        .ok_or_else(|| Usage(format!("unknown device '{name}' — see `cnnperf list`")))
+}
+
+/// Report a command failure on stderr and exit with `code`.
+fn fail(code: u8, msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{msg}");
+    ExitCode::from(code)
+}
+
+fn split_list(spec: &str) -> impl Iterator<Item = &str> {
+    spec.split(',').map(str::trim)
+}
+
+fn regressor(name: &str) -> Option<RegressorKind> {
+    match name {
+        "dt" => Some(RegressorKind::DecisionTree),
+        "knn" => Some(RegressorKind::KNearestNeighbors),
+        "rf" => Some(RegressorKind::RandomForest),
+        "xgb" => Some(RegressorKind::XgBoost),
+        "lr" => Some(RegressorKind::LinearRegression),
+        _ => None,
     }
 }
 
@@ -192,15 +306,15 @@ impl StatsFormat {
     }
 }
 
-/// Emit the global metrics snapshot to stdout. The JSON form is a single
-/// line (always the *last* stdout line of the command) so scripts and
-/// `stats-check` can grab it without parsing the human-readable report
-/// above it.
-fn emit_stats(fmt: StatsFormat) {
-    let snap = obs::global().snapshot();
+/// Emit the global metrics snapshot to stdout, if asked for. The JSON
+/// form is a single line (always the *last* stdout line of the command)
+/// so scripts and `stats-check` can grab it without parsing the
+/// human-readable report above it.
+fn emit_stats(fmt: Option<StatsFormat>) {
     match fmt {
-        StatsFormat::Json => println!("{}", snap.to_json()),
-        StatsFormat::Prom => print!("{}", snap.to_prometheus()),
+        Some(StatsFormat::Json) => println!("{}", obs::global().snapshot().to_json()),
+        Some(StatsFormat::Prom) => print!("{}", obs::global().snapshot().to_prometheus()),
+        None => {}
     }
 }
 
@@ -227,21 +341,123 @@ fn corpus_if_cached() -> Option<Corpus> {
     }
 }
 
-/// Load or build the full paper corpus, cached crash-safely next to the
-/// bench harness's cache.
-fn corpus() -> Corpus {
+/// `--journal-dir`, `--resume` and `--cell-timeout-ms`: how a corpus
+/// build checkpoints its cells and watches for silent ones.
+#[derive(Default)]
+struct Checkpoint<'a> {
+    journal_dir: Option<&'a Path>,
+    resume: bool,
+    cell_timeout_ms: Option<u64>,
+}
+
+impl<'a> Checkpoint<'a> {
+    fn from_args(a: &Args<'a>) -> Result<Self, Usage> {
+        let journal_dir = a.value("--journal-dir").map(Path::new);
+        let resume = a.has("--resume");
+        if resume && journal_dir.is_none() {
+            return Err(Usage(
+                "--resume needs --journal-dir (nothing to resume from)".into(),
+            ));
+        }
+        Ok(Checkpoint {
+            journal_dir,
+            resume,
+            cell_timeout_ms: a.int("--cell-timeout-ms", 1)?,
+        })
+    }
+
+    /// Open (or resume) the journal and start the watchdog the checkpoint
+    /// asks for, then run `build` under them. Journal failures map to the
+    /// exit-code taxonomy: a configuration mismatch is a usage error
+    /// ([`EXIT_USAGE`]), corrupt segments under `--strict` are
+    /// [`EXIT_CORRUPT`] (a lax build recomputes the quarantined cells and
+    /// continues).
+    fn run<R>(
+        &self,
+        cfg: &RobustConfig,
+        chaos: ChaosProfile,
+        build: impl FnOnce(&BuildOptions) -> R,
+    ) -> Result<R, ExitCode> {
+        let journal = match self.journal_dir {
+            Some(dir) => match Journal::open(dir, &BuildMeta::for_config(cfg), self.resume) {
+                Ok((journal, replay)) => {
+                    if replay.corrupt_segments > 0 {
+                        eprintln!(
+                            "journal: quarantined {} corrupt segment(s) to `.corrupt`",
+                            replay.corrupt_segments
+                        );
+                        if cfg.strict {
+                            let refusal = "strict build refuses a journal with corrupt segments";
+                            return Err(fail(EXIT_CORRUPT, refusal));
+                        }
+                    }
+                    if self.resume {
+                        eprintln!("journal: replayed {} record(s)", replay.records);
+                    }
+                    Some((journal, replay))
+                }
+                Err(e @ JournalError::ConfigMismatch { .. }) => {
+                    return Err(fail(EXIT_USAGE, format!("cannot resume: {e}")))
+                }
+                Err(e) => return Err(fail(1, format!("journal open failed: {e}"))),
+            },
+            None => None,
+        };
+        let supervisor = self
+            .cell_timeout_ms
+            .map(|ms| Supervisor::start(SuperviseConfig::with_timeout_ms(ms)));
+        Ok(build(&BuildOptions {
+            journal: journal.as_ref().map(|(j, _)| j),
+            replay: journal.as_ref().map(|(_, r)| r),
+            supervisor: supervisor.as_ref(),
+            chaos,
+        }))
+    }
+}
+
+/// Load the full paper corpus from the crash-safe cache, or build it on a
+/// miss under the paper's strict single-run protocol (the zoo on the
+/// training devices) and cache it. The build checkpoints as asked, so a
+/// killed `rank` warm-up can be resumed instead of restarted.
+fn corpus(checkpoint: &Checkpoint) -> Result<Corpus, ExitCode> {
     if let Some(c) = corpus_if_cached() {
-        return c;
+        return Ok(c);
     }
     eprintln!("building training corpus (32 CNNs x 2 GPUs, ~1 min, cached afterwards)...");
-    let c = build_paper_corpus().expect("corpus build");
+    let cfg = RobustConfig::strict_single_run();
+    let models = cnn_ir::zoo::build_all();
+    let devices = gpu_sim::training_devices();
+    let (c, _report) = checkpoint
+        .run(&cfg, ChaosProfile::none(), |opts| {
+            build_corpus_robust_with(&models, &devices, &cfg, opts)
+        })?
+        .map_err(|e| fail(1, format!("corpus build failed: {e}")))?;
     if let Err(e) = store_corpus(&corpus_cache_path(), &c) {
         eprintln!("warning: corpus cache write failed: {e}");
     }
-    c
+    Ok(c)
 }
 
-fn cmd_list() {
+/// Every command: its name, how many positional arguments it takes at
+/// most, its declared flags and its entry point.
+type Run = fn(&Args) -> Result<ExitCode, Usage>;
+const COMMANDS: &[(&str, usize, Flags, Run)] = &[
+    ("list", 0, NO_FLAGS, cmd_list),
+    ("analyze", 1, NO_FLAGS, cmd_analyze),
+    ("profile", 2, NO_FLAGS, cmd_profile),
+    ("predict", 2, PREDICT, cmd_predict),
+    ("rank", 1, RANK, cmd_rank),
+    ("corpus", 0, CORPUS, cmd_corpus),
+    ("estimate", 2, ESTIMATE, cmd_estimate),
+    ("serve", 0, SERVE, cmd_serve),
+    ("models", 2, MODELS, cmd_models),
+    ("scrub", 1, SCRUB, cmd_scrub),
+    ("stats-check", 1, NO_FLAGS, cmd_stats_check),
+    ("ptx", 1, NO_FLAGS, cmd_ptx),
+    ("dot", 1, NO_FLAGS, cmd_dot),
+];
+
+fn cmd_list(_: &Args) -> Result<ExitCode, Usage> {
     println!("Table I zoo ({} models):", cnn_ir::zoo::all().len());
     for e in cnn_ir::zoo::all() {
         println!("  {}", e.name);
@@ -267,11 +483,17 @@ fn cmd_list() {
             d.compute_capability.1
         );
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_analyze(name: &str) {
-    let model = model_or_exit(name);
-    let (profile, plan, counts, summary) = analysis_or_exit(&model);
+fn cmd_analyze(a: &Args) -> Result<ExitCode, Usage> {
+    let model = model(a.arg(0).ok_or_else(usage)?)?;
+    // fails under `--count-mode poly` when the strict tier refuses a
+    // kernel it cannot compile
+    let (profile, plan, counts, summary) = match profile_model(&model) {
+        Ok(r) => r,
+        Err(e) => return Ok(fail(1, format!("analysis failed: {e}"))),
+    };
     println!("model: {}", profile.name);
     println!(
         "  input:                {}x{}",
@@ -297,11 +519,12 @@ fn cmd_analyze(name: &str) {
         thousands(counts.warp_issues)
     );
     println!("  dynamic code analysis time: {:.2}s", profile.dca_seconds);
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_profile(name: &str, device: &str) {
-    let model = model_or_exit(name);
-    let dev = device_or_exit(device);
+fn cmd_profile(a: &Args) -> Result<ExitCode, Usage> {
+    let model = model(a.arg(0).ok_or_else(usage)?)?;
+    let dev = device(a.arg(1).ok_or_else(usage)?)?;
     let plan = ptx_codegen::lower(&model, &dev.sm_target()).expect("lowering");
     let sim = Simulator::new(dev.clone(), SimMode::Detailed)
         .simulate_plan(&plan)
@@ -322,73 +545,51 @@ fn cmd_profile(name: &str, device: &str) {
         "  energy:       {:.1} mJ (EDP {:.1} mJ*ms)",
         power.energy_mj, power.edp
     );
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_predict(name: &str, device: Option<&str>, all: bool, kind: RegressorKind) {
-    let model = model_or_exit(name);
-    let corpus = corpus();
-    let predictor = PerformancePredictor::train(&corpus.dataset, kind, 42);
-    let (profile, ..) = analysis_or_exit(&model);
-    let devices: Vec<_> = if all {
+const PREDICT: Flags = Flags {
+    switches: &["--all-devices"],
+    options: &["--regressor"],
+};
+
+fn cmd_predict(a: &Args) -> Result<ExitCode, Usage> {
+    let model = model(a.arg(0).ok_or_else(usage)?)?;
+    let kind = a
+        .get("--regressor", "dt|knn|rf|xgb|lr", regressor)?
+        .unwrap_or(RegressorKind::DecisionTree);
+    let devices = if a.has("--all-devices") {
         gpu_sim::all_devices()
     } else {
-        vec![device_or_exit(device.unwrap_or("GTX 1080 Ti"))]
+        vec![device(a.arg(1).unwrap_or("GTX 1080 Ti"))?]
+    };
+    let corpus = match corpus(&Checkpoint::default()) {
+        Ok(c) => c,
+        Err(code) => return Ok(code),
+    };
+    let predictor = PerformancePredictor::train(&corpus.dataset, kind, 42);
+    let (profile, ..) = match profile_model(&model) {
+        Ok(r) => r,
+        Err(e) => return Ok(fail(1, format!("analysis failed: {e}"))),
     };
     println!("predicted IPC for {} ({}):", profile.name, kind.name());
     for dev in devices {
         println!("  {:14} {:.3}", dev.name, predictor.predict(&profile, &dev));
     }
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Like [`corpus`], but a cache miss rebuilds under the given journal
-/// (checkpointing every cell) and watchdog, so a killed `rank` warm-up can
-/// be resumed instead of restarted. Uses the paper's strict single-run
-/// protocol — the same corpus the cache would have held.
-fn corpus_with_journal(
-    journal_dir: Option<&Path>,
-    resume: bool,
-    cell_timeout_ms: Option<u64>,
-) -> Result<Corpus, ExitCode> {
-    if let Some(c) = corpus_if_cached() {
-        return Ok(c);
-    }
-    eprintln!("building training corpus (32 CNNs x 2 GPUs, ~1 min, cached afterwards)...");
-    let cfg = RobustConfig::strict_single_run();
-    let journal_state = match journal_dir {
-        Some(dir) => Some(open_journal_or_exit(dir, &cfg, resume)?),
-        None => None,
-    };
-    let supervisor =
-        cell_timeout_ms.map(|ms| Supervisor::start(SuperviseConfig::with_timeout_ms(ms)));
-    let opts = BuildOptions {
-        journal: journal_state.as_ref().map(|(j, _)| j),
-        replay: journal_state.as_ref().map(|(_, r)| r),
-        supervisor: supervisor.as_ref(),
-        chaos: ChaosProfile::none(),
-    };
-    let models = cnn_ir::zoo::build_all();
-    let devices = gpu_sim::training_devices();
-    let (c, _report) = build_corpus_robust_with(&models, &devices, &cfg, &opts).map_err(|e| {
-        eprintln!("corpus build failed: {e}");
-        ExitCode::FAILURE
-    })?;
-    if let Err(e) = store_corpus(&corpus_cache_path(), &c) {
-        eprintln!("warning: corpus cache write failed: {e}");
-    }
-    Ok(c)
-}
+const RANK: Flags = Flags {
+    switches: &["--resume"],
+    options: &["--journal-dir", "--cell-timeout-ms", "--stats"],
+};
 
-fn cmd_rank(
-    name: &str,
-    stats: Option<StatsFormat>,
-    journal_dir: Option<&Path>,
-    resume: bool,
-    cell_timeout_ms: Option<u64>,
-) -> ExitCode {
-    let model = model_or_exit(name);
-    let corpus = match corpus_with_journal(journal_dir, resume, cell_timeout_ms) {
+fn cmd_rank(a: &Args) -> Result<ExitCode, Usage> {
+    let model = model(a.arg(0).ok_or_else(usage)?)?;
+    let stats = a.stats("--stats")?;
+    let corpus = match corpus(&Checkpoint::from_args(a)?) {
         Ok(c) => c,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     let predictor = PerformancePredictor::train(&corpus.dataset, RegressorKind::DecisionTree, 42);
     let devices = gpu_sim::all_devices();
@@ -409,201 +610,69 @@ fn cmd_rank(
     }
     let (entries, capacity) = cnnperf_core::cache_stats();
     println!("analysis cache: {entries}/{capacity} entries");
-    if let Some(fmt) = stats {
-        emit_stats(fmt);
-    }
-    ExitCode::SUCCESS
+    emit_stats(stats);
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Build fingerprint for the cell journal: any of these differing between
-/// a journal and a resuming build makes the journaled cells meaningless.
-fn build_meta_for(cfg: &RobustConfig) -> BuildMeta {
-    BuildMeta {
-        schema: JOURNAL_SCHEMA,
-        sm_target: DEFAULT_SM_TARGET.to_string(),
-        runs: cfg.runs,
-        retry: cfg.retry.clone(),
-        faults: cfg.faults.clone(),
-        strict: cfg.strict,
-    }
-}
+const CORPUS: Flags = Flags {
+    switches: &["--strict", "--resume"],
+    options: &[
+        "--runs",
+        "--fault-profile",
+        "--models",
+        "--devices",
+        "--journal-dir",
+        "--cell-timeout-ms",
+        "--chaos",
+        "--out",
+        "--stats",
+    ],
+};
 
-/// Open (or resume) the cell journal at `dir`, mapping the failure modes
-/// to the exit-code taxonomy: a configuration mismatch is a usage error
-/// ([`EXIT_USAGE`]), corrupt segments under `--strict` are
-/// [`EXIT_CORRUPT`] (a lax build recomputes the quarantined cells and
-/// continues).
-fn open_journal_or_exit(
-    dir: &Path,
-    cfg: &RobustConfig,
-    resume: bool,
-) -> Result<(Journal, Replay), ExitCode> {
-    match Journal::open(dir, &build_meta_for(cfg), resume) {
-        Ok((journal, replay)) => {
-            if replay.corrupt_segments > 0 {
-                eprintln!(
-                    "journal: quarantined {} corrupt segment(s) to `.corrupt`",
-                    replay.corrupt_segments
-                );
-                if cfg.strict {
-                    eprintln!("strict build refuses a journal with corrupt segments");
-                    return Err(ExitCode::from(EXIT_CORRUPT));
-                }
-            }
-            if resume {
-                eprintln!("journal: replayed {} record(s)", replay.records);
-            }
-            Ok((journal, replay))
-        }
-        Err(e @ JournalError::ConfigMismatch { .. }) => {
-            eprintln!("cannot resume: {e}");
-            Err(ExitCode::from(EXIT_USAGE))
-        }
-        Err(e) => {
-            eprintln!("journal open failed: {e}");
-            Err(ExitCode::FAILURE)
-        }
-    }
-}
-
-fn cmd_corpus(args: &[&str]) -> ExitCode {
-    let mut cfg = RobustConfig::default();
-    let mut stats: Option<StatsFormat> = None;
-    let mut models_spec: Option<&str> = None;
-    let mut devices_spec: Option<&str> = None;
-    let mut journal_dir: Option<PathBuf> = None;
-    let mut resume = false;
-    let mut cell_timeout_ms: Option<u64> = None;
-    let mut chaos = ChaosProfile::none();
-    let mut out: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--strict" => cfg.strict = true,
-            "--resume" => resume = true,
-            "--stats" => match it.next().copied().and_then(StatsFormat::parse) {
-                Some(f) => stats = Some(f),
-                None => {
-                    eprintln!("--stats needs `json` or `prom`");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--runs" => match it.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) if n >= 1 => cfg.runs = n,
-                _ => {
-                    eprintln!("--runs needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--fault-profile" => match it.next() {
-                Some(spec) => match gpu_sim::FaultProfile::parse(spec) {
-                    Ok(p) => cfg.faults = p,
-                    Err(e) => {
-                        eprintln!("bad --fault-profile: {e}");
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                },
-                None => {
-                    eprintln!("--fault-profile needs a value");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--models" => match it.next() {
-                Some(spec) => models_spec = Some(spec),
-                None => {
-                    eprintln!("--models needs a comma-separated list");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--devices" => match it.next() {
-                Some(spec) => devices_spec = Some(spec),
-                None => {
-                    eprintln!("--devices needs a comma-separated list");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--journal-dir" => match it.next() {
-                Some(dir) => journal_dir = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--journal-dir needs a directory");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--cell-timeout-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => cell_timeout_ms = Some(n),
-                _ => {
-                    eprintln!("--cell-timeout-ms needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--chaos" => match it.next().map(|s| gpu_sim::ChaosProfile::parse(s)) {
-                Some(Ok(p)) => chaos = p,
-                Some(Err(e)) => {
-                    eprintln!("bad --chaos: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                None => {
-                    eprintln!("--chaos needs a value");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--out" => match it.next() {
-                Some(path) => out = Some(PathBuf::from(path)),
-                None => {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            other => {
-                eprintln!("unknown corpus flag `{other}`");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    }
-    if resume && journal_dir.is_none() {
-        eprintln!("--resume needs --journal-dir (nothing to resume from)");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    if chaos.hang_rate > 0.0 && cell_timeout_ms.is_none() {
-        eprintln!(
+fn cmd_corpus(a: &Args) -> Result<ExitCode, Usage> {
+    let defaults = RobustConfig::default();
+    let cfg = RobustConfig {
+        runs: a.int("--runs", 1)?.unwrap_or(defaults.runs),
+        faults: a
+            .parsed("--fault-profile", gpu_sim::FaultProfile::parse)?
+            .unwrap_or(defaults.faults),
+        strict: a.has("--strict"),
+        ..defaults
+    };
+    let stats = a.stats("--stats")?;
+    let checkpoint = Checkpoint::from_args(a)?;
+    let chaos = a
+        .parsed("--chaos", ChaosProfile::parse)?
+        .unwrap_or_else(ChaosProfile::none);
+    if chaos.hang_rate > 0.0 && checkpoint.cell_timeout_ms.is_none() {
+        return Err(Usage(
             "--chaos with hang>0 needs --cell-timeout-ms (an unwatched hang wedges the build)"
-        );
-        return ExitCode::from(EXIT_USAGE);
+                .into(),
+        ));
     }
-    let models: Vec<cnn_ir::ModelGraph> = match models_spec {
-        Some(spec) => spec.split(',').map(|n| model_or_exit(n.trim())).collect(),
+    let models: Vec<cnn_ir::ModelGraph> = match a.value("--models") {
+        Some(spec) => split_list(spec).map(model).collect::<Result<_, _>>()?,
         None => cnn_ir::zoo::build_all(),
     };
-    let devices: Vec<gpu_sim::DeviceSpec> = match devices_spec {
-        Some(spec) => spec.split(',').map(|n| device_or_exit(n.trim())).collect(),
+    let devices: Vec<gpu_sim::DeviceSpec> = match a.value("--devices") {
+        Some(spec) => split_list(spec).map(device).collect::<Result<_, _>>()?,
         None => gpu_sim::training_devices(),
     };
+    let out = a.value("--out").map(Path::new);
 
-    let journal_state = match &journal_dir {
-        Some(dir) => match open_journal_or_exit(dir, &cfg, resume) {
-            Ok(state) => Some(state),
-            Err(code) => return code,
-        },
-        None => None,
-    };
-    let supervisor =
-        cell_timeout_ms.map(|ms| Supervisor::start(SuperviseConfig::with_timeout_ms(ms)));
-    let opts = BuildOptions {
-        journal: journal_state.as_ref().map(|(j, _)| j),
-        replay: journal_state.as_ref().map(|(_, r)| r),
-        supervisor: supervisor.as_ref(),
-        chaos,
-    };
-
-    eprintln!(
-        "building corpus ({} CNNs x {} GPUs, {} run(s)/cell, strict={}) ...",
-        models.len(),
-        devices.len(),
-        cfg.runs,
-        cfg.strict
-    );
-    let code = match build_corpus_robust_with(&models, &devices, &cfg, &opts) {
-        Ok((corpus, report)) => {
+    let built = checkpoint.run(&cfg, chaos, |opts| {
+        eprintln!(
+            "building corpus ({} CNNs x {} GPUs, {} run(s)/cell, strict={}) ...",
+            models.len(),
+            devices.len(),
+            cfg.runs,
+            cfg.strict
+        );
+        build_corpus_robust_with(&models, &devices, &cfg, opts)
+    });
+    let code = match built {
+        Err(code) => return Ok(code),
+        Ok(Ok((corpus, report))) => {
             println!(
                 "corpus: {} rows, {} models",
                 corpus.dataset.len(),
@@ -637,120 +706,71 @@ fn cmd_corpus(args: &[&str]) -> ExitCode {
                     ),
                 }
             }
-            match &out {
+            match out {
                 Some(path) => match std::fs::write(path, corpus.canonical_json()) {
                     Ok(()) => {
                         eprintln!("canonical corpus written to {}", path.display());
                         ExitCode::SUCCESS
                     }
-                    Err(e) => {
-                        eprintln!("cannot write --out {}: {e}", path.display());
-                        ExitCode::FAILURE
-                    }
+                    Err(e) => fail(1, format!("cannot write --out {}: {e}", path.display())),
                 },
                 None => ExitCode::SUCCESS,
             }
         }
-        Err(e) => {
-            eprintln!(
-                "corpus build failed ({}): {e}",
-                if e.transient() {
-                    "transient"
-                } else {
-                    "permanent"
-                }
-            );
-            ExitCode::FAILURE
+        Ok(Err(e)) => {
+            let kind = if e.transient() {
+                "transient"
+            } else {
+                "permanent"
+            };
+            fail(1, format!("corpus build failed ({kind}): {e}"))
         }
     };
-    if let Some(fmt) = stats {
-        emit_stats(fmt);
-    }
-    code
+    emit_stats(stats);
+    Ok(code)
 }
 
-fn cmd_estimate(args: &[&str]) -> ExitCode {
-    let mut config = EngineConfig::default();
-    let mut positional: Vec<&str> = Vec::new();
-    let mut all_devices = false;
-    let mut stats: Option<StatsFormat> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--all-devices" => all_devices = true,
-            "--stats" => match it.next().copied().and_then(StatsFormat::parse) {
-                Some(f) => stats = Some(f),
-                None => {
-                    eprintln!("--stats needs `json` or `prom`");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--deadline-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => config.deadline_ms = n,
-                _ => {
-                    eprintln!("--deadline-ms needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--tiers" => match it.next().map(|s| Tier::parse_ladder(s)) {
-                Some(Ok(tiers)) => config.tiers = tiers,
-                Some(Err(e)) => {
-                    eprintln!("bad --tiers: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                None => {
-                    eprintln!("--tiers needs a value");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--chaos" => match it.next().map(|s| gpu_sim::ChaosProfile::parse(s)) {
-                Some(Ok(p)) => config.chaos = p,
-                Some(Err(e)) => {
-                    eprintln!("bad --chaos: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                None => {
-                    eprintln!("--chaos needs a value");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--queue-capacity" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => config.queue_capacity = n,
-                _ => {
-                    eprintln!("--queue-capacity needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            flag if flag.starts_with("--") => {
-                eprintln!("unknown estimate flag `{flag}`");
-                return ExitCode::from(EXIT_USAGE);
-            }
-            value => positional.push(value),
-        }
-    }
-    let (models_spec, devices_spec) = match (positional.first(), positional.get(1)) {
-        (Some(m), Some(d)) => (*m, Some(*d)),
-        (Some(m), None) if all_devices => (*m, None),
-        _ => {
-            eprintln!("estimate needs <models> and <devices> (or --all-devices)");
-            return ExitCode::from(EXIT_USAGE);
-        }
+const ESTIMATE: Flags = Flags {
+    switches: &["--all-devices"],
+    options: &[
+        "--deadline-ms",
+        "--tiers",
+        "--chaos",
+        "--queue-capacity",
+        "--stats",
+    ],
+};
+
+fn cmd_estimate(a: &Args) -> Result<ExitCode, Usage> {
+    let defaults = EngineConfig::default();
+    let config = EngineConfig {
+        deadline_ms: a.int("--deadline-ms", 1)?.unwrap_or(defaults.deadline_ms),
+        tiers: a
+            .parsed("--tiers", Tier::parse_ladder)?
+            .unwrap_or(defaults.tiers),
+        chaos: a
+            .parsed("--chaos", ChaosProfile::parse)?
+            .unwrap_or(defaults.chaos),
+        queue_capacity: a
+            .int("--queue-capacity", 1)?
+            .unwrap_or(defaults.queue_capacity),
+        ..defaults
     };
-    let models: Vec<String> = models_spec
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .collect();
+    let stats = a.stats("--stats")?;
+    let all_devices = a.has("--all-devices");
+    // --all-devices stands in for the device list
+    let (Some(models_spec), Some(devices_spec)) =
+        (a.arg(0), a.arg(1).or(all_devices.then_some("")))
+    else {
+        return Err(Usage(
+            "estimate needs <models> and <devices> (or --all-devices)".into(),
+        ));
+    };
+    let models: Vec<String> = split_list(models_spec).map(String::from).collect();
     let devices: Vec<String> = if all_devices {
-        gpu_sim::all_devices()
-            .iter()
-            .map(|d| d.name.clone())
-            .collect()
+        gpu_sim::all_devices().into_iter().map(|d| d.name).collect()
     } else {
-        devices_spec
-            .unwrap_or_default()
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .collect()
+        split_list(devices_spec).map(String::from).collect()
     };
     let requests: Vec<(String, String)> = models
         .iter()
@@ -798,10 +818,8 @@ fn cmd_estimate(args: &[&str]) -> ExitCode {
         println!("  {} elapsed_ms={:.1}", out.canonical(), out.elapsed_ms);
     }
     println!("served {served}/{} within deadline", outcomes.len());
-    if let Some(fmt) = stats {
-        emit_stats(fmt);
-    }
-    if served == outcomes.len() {
+    emit_stats(stats);
+    Ok(if served == outcomes.len() {
         ExitCode::SUCCESS
     } else if outcomes
         .iter()
@@ -812,191 +830,99 @@ fn cmd_estimate(args: &[&str]) -> ExitCode {
         ExitCode::from(EXIT_OVERLOADED)
     } else {
         ExitCode::from(EXIT_DEADLINE)
-    }
+    })
 }
 
-/// Parse `--deadlines I,B,E` / `--quotas I,B,E` triples (interactive,
-/// batch, best-effort).
-fn parse_triple<T: std::str::FromStr>(spec: &str) -> Option<[T; 3]> {
-    let parts: Vec<&str> = spec.split(',').map(|s| s.trim()).collect();
-    if parts.len() != 3 {
-        return None;
-    }
-    let a = parts[0].parse().ok()?;
-    let b = parts[1].parse().ok()?;
-    let c = parts[2].parse().ok()?;
-    Some([a, b, c])
-}
+const SERVE: Flags = Flags {
+    switches: &["--no-revalidate"],
+    options: &[
+        "--socket",
+        "--metrics",
+        "--workers",
+        "--deadlines",
+        "--quotas",
+        "--max-retries",
+        "--retry-backoff-ms",
+        "--tiers",
+        "--chaos",
+        "--max-frame-bytes",
+        "--frame-stall-ms",
+        "--drain-deadline-ms",
+        "--stats-dump",
+        "--model-dir",
+        "--retrain-interval-s",
+        "--shadow-window",
+        "--promotion-threshold",
+        "--drift-window",
+        "--drift-threshold",
+    ],
+};
 
-fn cmd_serve(args: &[&str]) -> ExitCode {
+fn cmd_serve(a: &Args) -> Result<ExitCode, Usage> {
     use cnnperf_core::{
-        ColdStart, LifecycleConfig, LifecycleManager, ModelStore, PredictorSlot, ServeError,
-        Server, ServerConfig,
+        ColdStart, LifecycleConfig, LifecycleManager, ModelStore, PredictorSlot, QosPolicy,
+        ServeError, Server, ServerConfig,
     };
     use std::sync::Arc;
 
-    let mut cfg = ServerConfig::default();
-    let mut socket: Option<PathBuf> = None;
-    let mut metrics: Option<String> = None;
-    let mut stats_dump: Option<StatsFormat> = None;
-    let mut model_dir: Option<PathBuf> = None;
-    let mut lc = LifecycleConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match *arg {
-            "--socket" => match it.next() {
-                Some(p) => socket = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--socket needs a path");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--metrics" => match it.next() {
-                Some(a) => metrics = Some(a.to_string()),
-                None => {
-                    eprintln!("--metrics needs an address (e.g. 127.0.0.1:9095)");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--workers" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => cfg.workers = n,
-                _ => {
-                    eprintln!("--workers needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--deadlines" => match it.next().and_then(|s| parse_triple::<u64>(s)) {
-                Some(t) if t.iter().all(|v| *v >= 1) => cfg.policy.deadline_ms = t,
-                _ => {
-                    eprintln!("--deadlines needs three positive integers: interactive,batch,best-effort (ms)");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--quotas" => match it.next().and_then(|s| parse_triple::<usize>(s)) {
-                Some(t) if t.iter().all(|v| *v >= 1) => cfg.policy.queue_quota = t,
-                _ => {
-                    eprintln!(
-                        "--quotas needs three positive integers: interactive,batch,best-effort"
-                    );
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--max-retries" => match it.next().map(|v| v.parse::<u32>()) {
-                Some(Ok(n)) => cfg.max_retries = n,
-                _ => {
-                    eprintln!("--max-retries needs an integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--retry-backoff-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) => cfg.retry_backoff_ms = n,
-                _ => {
-                    eprintln!("--retry-backoff-ms needs an integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--no-revalidate" => cfg.revalidate_stale = false,
-            "--tiers" => match it.next().map(|s| Tier::parse_ladder(s)) {
-                Some(Ok(tiers)) => cfg.engine.tiers = tiers,
-                Some(Err(e)) => {
-                    eprintln!("bad --tiers: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                None => {
-                    eprintln!("--tiers needs a value");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--chaos" => match it.next().map(|s| gpu_sim::ChaosProfile::parse(s)) {
-                Some(Ok(p)) => cfg.engine.chaos = p,
-                Some(Err(e)) => {
-                    eprintln!("bad --chaos: {e}");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                None => {
-                    eprintln!("--chaos needs a value");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--max-frame-bytes" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 64 => cfg.max_frame_bytes = n,
-                _ => {
-                    eprintln!("--max-frame-bytes needs an integer >= 64");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--frame-stall-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => cfg.frame_stall_ms = n,
-                _ => {
-                    eprintln!("--frame-stall-ms needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--drain-deadline-ms" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => cfg.drain_deadline_ms = n,
-                _ => {
-                    eprintln!("--drain-deadline-ms needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--stats-dump" => match it.next().copied().and_then(StatsFormat::parse) {
-                Some(f) => stats_dump = Some(f),
-                None => {
-                    eprintln!("--stats-dump needs `json` or `prom`");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--model-dir" => match it.next() {
-                Some(p) => model_dir = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--model-dir needs a directory path");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--retrain-interval-s" => match it.next().map(|v| v.parse::<u64>()) {
-                Some(Ok(n)) if n >= 1 => lc.retrain_interval = std::time::Duration::from_secs(n),
-                _ => {
-                    eprintln!("--retrain-interval-s needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--shadow-window" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => lc.shadow_window = n,
-                _ => {
-                    eprintln!("--shadow-window needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--promotion-threshold" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(f)) if f.is_finite() && f >= 0.0 => lc.promotion_threshold = f,
-                _ => {
-                    eprintln!("--promotion-threshold needs a non-negative number");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--drift-window" => match it.next().map(|v| v.parse::<usize>()) {
-                Some(Ok(n)) if n >= 1 => lc.drift_window = n,
-                _ => {
-                    eprintln!("--drift-window needs a positive integer");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            "--drift-threshold" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(f)) if f.is_finite() && f > 0.0 => lc.drift_threshold = f,
-                _ => {
-                    eprintln!("--drift-threshold needs a positive number");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-            },
-            other => {
-                eprintln!("unknown serve flag `{other}`");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-    }
+    let d = ServerConfig::default();
+    let triple = "three positive integers: interactive,batch,best-effort";
+    let cfg = ServerConfig {
+        workers: a.int("--workers", 1)?.unwrap_or(d.workers),
+        policy: QosPolicy {
+            deadline_ms: a
+                .get("--deadlines", &format!("{triple} (ms)"), positive_triple)?
+                .unwrap_or(d.policy.deadline_ms),
+            queue_quota: a
+                .get("--quotas", triple, positive_triple)?
+                .unwrap_or(d.policy.queue_quota),
+        },
+        max_retries: a.int("--max-retries", 0)?.unwrap_or(d.max_retries),
+        retry_backoff_ms: a
+            .int("--retry-backoff-ms", 0)?
+            .unwrap_or(d.retry_backoff_ms),
+        revalidate_stale: !a.has("--no-revalidate"),
+        engine: EngineConfig {
+            tiers: a
+                .parsed("--tiers", Tier::parse_ladder)?
+                .unwrap_or(d.engine.tiers),
+            chaos: a
+                .parsed("--chaos", ChaosProfile::parse)?
+                .unwrap_or(d.engine.chaos),
+            ..d.engine
+        },
+        max_frame_bytes: a.int("--max-frame-bytes", 64)?.unwrap_or(d.max_frame_bytes),
+        frame_stall_ms: a.int("--frame-stall-ms", 1)?.unwrap_or(d.frame_stall_ms),
+        drain_deadline_ms: a
+            .int("--drain-deadline-ms", 1)?
+            .unwrap_or(d.drain_deadline_ms),
+        ..d
+    };
+    let d = LifecycleConfig::default();
+    let lc = LifecycleConfig {
+        retrain_interval: a
+            .int("--retrain-interval-s", 1)?
+            .map_or(d.retrain_interval, std::time::Duration::from_secs),
+        shadow_window: a.int("--shadow-window", 1)?.unwrap_or(d.shadow_window),
+        promotion_threshold: a
+            .float("--promotion-threshold", "a non-negative number", |f| {
+                f >= 0.0
+            })?
+            .unwrap_or(d.promotion_threshold),
+        drift_window: a.int("--drift-window", 1)?.unwrap_or(d.drift_window),
+        drift_threshold: a
+            .float("--drift-threshold", "a positive number", |f| f > 0.0)?
+            .unwrap_or(d.drift_threshold),
+        ..d
+    };
+    let stats_dump = a.stats("--stats-dump")?;
+    let model_dir = a.value("--model-dir").map(Path::new);
+    let socket = a.value("--socket").map(Path::new);
+    let metrics = a.value("--metrics");
     if metrics.is_some() && socket.is_none() {
-        eprintln!("--metrics needs --socket (the endpoint is served from the socket accept loop)");
-        return ExitCode::from(EXIT_USAGE);
+        return Err(Usage(
+            "--metrics needs --socket (the endpoint is served from the socket accept loop)".into(),
+        ));
     }
 
     // a cached corpus arms every shard's regressor + stale-cache tiers;
@@ -1013,7 +939,7 @@ fn cmd_serve(args: &[&str]) -> ExitCode {
         ),
     }
 
-    let server = match &model_dir {
+    let server = match model_dir {
         Some(dir) => {
             let store = match ModelStore::open(dir) {
                 Ok((store, report)) => {
@@ -1027,8 +953,10 @@ fn cmd_serve(args: &[&str]) -> ExitCode {
                     store
                 }
                 Err(e) => {
-                    eprintln!("serve: model store init failed: {e}");
-                    return ExitCode::from(EXIT_MODELSTORE);
+                    return Ok(fail(
+                        EXIT_MODELSTORE,
+                        format!("serve: model store init failed: {e}"),
+                    ))
                 }
             };
             let base = corpus.as_ref().map(|c| c.dataset.clone());
@@ -1073,18 +1001,18 @@ fn cmd_serve(args: &[&str]) -> ExitCode {
             Server::new(cfg, predictor, corpus)
         }
     };
-    let result = match &socket {
+    let result = match socket {
         Some(path) => {
             eprintln!(
                 "serve: listening on {} ({} workers){}",
                 path.display(),
                 server.config().workers,
-                match &metrics {
+                match metrics {
                     Some(a) => format!(", metrics on http://{a}/metrics"),
                     None => String::new(),
                 }
             );
-            server.run_unix(path, metrics.as_deref())
+            server.run_unix(path, metrics)
         }
         None => {
             eprintln!(
@@ -1108,54 +1036,96 @@ fn cmd_serve(args: &[&str]) -> ExitCode {
             );
             ExitCode::SUCCESS
         }
-        Err(e @ ServeError::Bind { .. }) => {
-            eprintln!("serve: {e}");
-            ExitCode::from(EXIT_BIND)
-        }
+        Err(e @ ServeError::Bind { .. }) => fail(EXIT_BIND, format!("serve: {e}")),
     };
-    if let Some(fmt) = stats_dump {
-        emit_stats(fmt);
-    }
-    code
+    emit_stats(stats_dump);
+    Ok(code)
 }
+
+const MODELS: Flags = Flags {
+    switches: &[],
+    options: &["--model-dir"],
+};
 
 /// Inspect and steer the snapshot model store (`cnnperf models ...`).
 /// Every action opens the store first, so orphaned temp files are swept
 /// and corrupt snapshots quarantined as a side effect of any invocation.
-fn cmd_models(args: &[&str]) -> ExitCode {
+fn cmd_models(a: &Args) -> Result<ExitCode, Usage> {
     use cnnperf_core::ModelStore;
 
-    let action = match args.first() {
-        Some(a) if !a.starts_with("--") => *a,
-        _ => {
-            eprintln!("models needs an action: list | inspect V | pin V | unpin | rollback");
-            return ExitCode::from(EXIT_USAGE);
+    let action = a.arg(0).unwrap_or_default();
+    // inspect and pin take a version; the other actions take nothing
+    let version = match (action, a.arg(1).map(str::parse::<u64>)) {
+        ("inspect" | "pin", Some(Ok(v))) => Ok(Some(v)),
+        ("list" | "unpin" | "rollback", None) => Ok(None),
+        ("inspect" | "pin", _) => Err(format!("models {action} needs a version number")),
+        ("list" | "unpin" | "rollback", Some(_)) => {
+            Err(format!("models {action} takes no version"))
         }
+        _ => Err(format!(
+            "models needs an action: list | inspect V | pin V | unpin | rollback (got `{}`)",
+            a.positional.join(" ")
+        )),
+    }
+    .map_err(Usage)?;
+    let Some(dir) = a.value("--model-dir").map(Path::new) else {
+        return Err(Usage("models needs --model-dir DIR".into()));
     };
-    let dir = match args.iter().position(|a| *a == "--model-dir") {
-        Some(i) => match args.get(i + 1) {
-            Some(p) => PathBuf::from(p),
-            None => {
-                eprintln!("--model-dir needs a directory path");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        },
-        None => {
-            eprintln!("models needs --model-dir DIR");
-            return ExitCode::from(EXIT_USAGE);
-        }
-    };
-    let version_arg = || -> Option<u64> { args.get(1).and_then(|v| v.parse().ok()) };
 
-    let (mut store, report) = match ModelStore::open(&dir) {
+    let (mut store, report) = match ModelStore::open(dir) {
         Ok(ok) => ok,
         Err(e) => {
-            eprintln!("models: store init failed: {e}");
-            return ExitCode::from(EXIT_MODELSTORE);
+            return Ok(fail(
+                EXIT_MODELSTORE,
+                format!("models: store init failed: {e}"),
+            ))
         }
     };
-    match action {
-        "list" => {
+    Ok(match (action, version) {
+        ("inspect", Some(v)) => match store.load_version(v) {
+            Ok((info, predictor)) => {
+                println!("version:    v{:06}", info.meta.version);
+                println!("path:       {}", info.path.display());
+                println!("kind:       {}", info.meta.kind);
+                println!("train rows: {}", info.meta.train_rows);
+                println!("note:       {}", info.meta.note);
+                println!("checksum:   {:016x}", info.checksum);
+                println!("features:   {}", predictor.feature_names.len());
+                println!(
+                    "pinned:     {}",
+                    if store.pinned() == Some(v) {
+                        "yes"
+                    } else {
+                        "no"
+                    }
+                );
+                ExitCode::SUCCESS
+            }
+            Err(e) => fail(EXIT_MODELSTORE, format!("models: {e}")),
+        },
+        ("pin", Some(v)) => match store.pin(v) {
+            Ok(()) => {
+                println!("pinned v{v} — cold starts serve it until unpin/rollback");
+                ExitCode::SUCCESS
+            }
+            Err(e) => fail(EXIT_MODELSTORE, format!("models: {e}")),
+        },
+        ("unpin", _) => {
+            store.unpin();
+            println!("unpinned — cold starts return to the newest valid snapshot");
+            ExitCode::SUCCESS
+        }
+        ("rollback", _) => match store.demote_latest() {
+            Ok((demoted, now_newest)) => {
+                match now_newest {
+                    Some(v) => println!("demoted v{demoted}; newest valid is now v{v}"),
+                    None => println!("demoted v{demoted}; store is now empty"),
+                }
+                ExitCode::SUCCESS
+            }
+            Err(e) => fail(EXIT_MODELSTORE, format!("models: {e}")),
+        },
+        ("list", _) => {
             println!(
                 "model store {} — {} valid snapshot(s), {} quarantined, {} temp swept",
                 dir.display(),
@@ -1184,133 +1154,27 @@ fn cmd_models(args: &[&str]) -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "inspect" => {
-            let Some(v) = version_arg() else {
-                eprintln!("models inspect needs a version number");
-                return ExitCode::from(EXIT_USAGE);
-            };
-            match store.load_version(v) {
-                Ok((info, predictor)) => {
-                    println!("version:    v{:06}", info.meta.version);
-                    println!("path:       {}", info.path.display());
-                    println!("kind:       {}", info.meta.kind);
-                    println!("train rows: {}", info.meta.train_rows);
-                    println!("note:       {}", info.meta.note);
-                    println!("checksum:   {:016x}", info.checksum);
-                    println!("features:   {}", predictor.feature_names.len());
-                    println!(
-                        "pinned:     {}",
-                        if store.pinned() == Some(v) {
-                            "yes"
-                        } else {
-                            "no"
-                        }
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("models: {e}");
-                    ExitCode::from(EXIT_MODELSTORE)
-                }
-            }
-        }
-        "pin" => {
-            let Some(v) = version_arg() else {
-                eprintln!("models pin needs a version number");
-                return ExitCode::from(EXIT_USAGE);
-            };
-            match store.pin(v) {
-                Ok(()) => {
-                    println!("pinned v{v} — cold starts serve it until unpin/rollback");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("models: {e}");
-                    ExitCode::from(EXIT_MODELSTORE)
-                }
-            }
-        }
-        "unpin" => {
-            store.unpin();
-            println!("unpinned — cold starts return to the newest valid snapshot");
-            ExitCode::SUCCESS
-        }
-        "rollback" => match store.demote_latest() {
-            Ok((demoted, now_newest)) => {
-                match now_newest {
-                    Some(v) => println!("demoted v{demoted}; newest valid is now v{v}"),
-                    None => println!("demoted v{demoted}; store is now empty"),
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("models: {e}");
-                ExitCode::from(EXIT_MODELSTORE)
-            }
-        },
-        other => {
-            eprintln!(
-                "unknown models action `{other}` (list | inspect V | pin V | unpin | rollback)"
-            );
-            ExitCode::from(EXIT_USAGE)
-        }
-    }
+        _ => unreachable!("actions are validated before the store opens"),
+    })
 }
 
-/// Parse a non-negative integer out of a snapshot `Value`.
-fn stat_u64(v: &serde_json::Value) -> Option<u64> {
-    match v {
-        serde_json::Value::Int(i) if *i >= 0 => Some(*i as u64),
-        _ => None,
-    }
-}
+const SCRUB: Flags = Flags {
+    switches: &["--dry-run"],
+    options: &["--stats"],
+};
 
-/// Validate a `--stats json` snapshot: find the last JSON line of `file`,
-/// check the schema version and overall shape, and enforce the counter
-/// invariants the instrumentation promises (tier outcomes sum to requests,
-/// cache hits + misses == lookups). Exits non-zero with a reason on any
-/// violation, so CI can gate on it.
 /// `cnnperf scrub <dir>` — audit and repair a persisted state directory.
 /// Exit 0 when the directory is clean or every repair succeeded;
 /// [`EXIT_SCRUB`] when damage remains (dry run or failed repair).
-fn cmd_scrub(rest: &[&str]) -> ExitCode {
-    let mut dir: Option<&str> = None;
-    let mut apply = true;
-    let mut stats: Option<StatsFormat> = None;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i] {
-            "--dry-run" => apply = false,
-            "--stats" => {
-                stats = rest.get(i + 1).and_then(|v| StatsFormat::parse(v));
-                if stats.is_none() {
-                    eprintln!("--stats needs json|prom");
-                    return ExitCode::from(EXIT_USAGE);
-                }
-                i += 1;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("scrub: unknown flag {flag}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-            d if dir.is_none() => dir = Some(d),
-            extra => {
-                eprintln!("scrub: unexpected argument {extra}");
-                return ExitCode::from(EXIT_USAGE);
-            }
-        }
-        i += 1;
-    }
-    let Some(dir) = dir else {
-        eprintln!("scrub needs a directory to audit");
-        return ExitCode::from(EXIT_USAGE);
+fn cmd_scrub(a: &Args) -> Result<ExitCode, Usage> {
+    let Some(dir) = a.arg(0) else {
+        return Err(Usage("scrub needs a directory to audit".into()));
     };
+    let apply = !a.has("--dry-run");
+    let stats = a.stats("--stats")?;
     let report = match cnnperf_core::scrub_path(Path::new(dir), ScrubOptions { apply }) {
         Ok(r) => r,
-        Err(e) => {
-            eprintln!("scrub: cannot audit {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return Ok(fail(1, format!("scrub: cannot audit {dir}: {e}"))),
     };
     println!(
         "scrub {dir}: {} file(s) in {} dir(s), {} finding(s), {} repaired, {} unrepaired{}",
@@ -1330,49 +1194,135 @@ fn cmd_scrub(rest: &[&str]) -> ExitCode {
             f.repair
         );
     }
-    if let Some(fmt) = stats {
-        emit_stats(fmt);
-    }
-    if report.unrepaired() > 0 {
+    emit_stats(stats);
+    Ok(if report.unrepaired() > 0 {
         ExitCode::from(EXIT_SCRUB)
     } else {
         ExitCode::SUCCESS
+    })
+}
+
+/// Parse a non-negative integer out of a snapshot `Value`.
+fn stat_u64(v: &serde_json::Value) -> Option<u64> {
+    match v {
+        serde_json::Value::Int(i) if *i >= 0 => Some(*i as u64),
+        _ => None,
     }
 }
 
-fn cmd_stats_check(file: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("stats-check: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
+/// The counter invariants the instrumentation promises, one rule a line:
+/// `sum == sum` or `sum <= sum`, each sum a ` + `-separated list of
+/// counter names or integers (an absent counter counts as 0). A rule
+/// written `guard: rule` is checked only when the guard counter is in the
+/// snapshot.
+const INVARIANTS: &[&str] = &[
+    "engine.requests: engine.outcome.served + engine.outcome.exhausted + engine.outcome.overloaded == engine.requests",
+    "engine.cache.lookups: engine.cache.hits + engine.cache.misses == engine.cache.lookups",
+    "analysis.cache.lookups: analysis.cache.hits + analysis.cache.misses == analysis.cache.lookups",
+    // eviction can never outpace insertion
+    "analysis.cache.lookups: analysis.cache.evictions <= analysis.cache.misses",
+    // poly counting tier: every compile attempt either produced a
+    // polynomial or fell back to the interpreter
+    "ptx.poly.attempts: ptx.poly.compiled + ptx.poly.fallbacks == ptx.poly.attempts",
+    // an evaluation-time fallback is a subset of evaluations
+    "ptx.poly.attempts: ptx.poly.eval_fallbacks <= ptx.poly.evals",
+    // every shipped kernel template compiles on the poly tier since the
+    // tid-sloped strided-loop and gemm_micro guard fixes, so a
+    // compile-time fallback in a template-driven run is a regression
+    "ptx.poly.attempts: ptx.poly.fallbacks == 0",
+    // a journaling build appends at least one record per computed cell
+    "journal.appends: journal.computed <= journal.appends",
+    // the store validates exclusively inside scan(), so every scanned
+    // snapshot is either loaded or quarantined
+    "modelstore.snapshots.scanned: modelstore.snapshots.loaded + modelstore.snapshots.quarantined == modelstore.snapshots.scanned",
+    // every retrain that reaches the shadow gate is promoted or
+    // rejected, never both; cycles skipped for lack of data or lost
+    // races don't reach the gate, so the sum is bounded by retrains
+    "lifecycle.retrains: lifecycle.promotions + lifecycle.rejections <= lifecycle.retrains",
+    // a shadow evaluation precedes every gate decision
+    "lifecycle.retrains: lifecycle.promotions + lifecycle.rejections <= lifecycle.shadow.evals",
+    // a rollback only ever follows a drift trip
+    "lifecycle.rollbacks <= lifecycle.drift.trips",
+    // every promotion with a store attached writes a snapshot (and
+    // cold-start training writes one too)
+    "modelstore.snapshots.written: lifecycle.promotions <= modelstore.snapshots.written",
+    // vfs fault injection can only tag operations that actually ran
+    "vfs.injected <= vfs.ops",
+    // sync calls are themselves vfs operations
+    "vfs.sync_file + vfs.sync_dir <= vfs.ops",
+    // scrub never repairs more than it found
+    "scrub.repaired <= scrub.findings",
+    // the watchdog only fires tokens of cells it first declared stale
+    "supervise.cancelled <= supervise.stale_cells",
+    // server admission: every request is admitted, shed, or rejected
+    // while draining — same determinism contract as the engine.* counters
+    "server.requests: server.admitted + server.shed + server.rejected.draining == server.requests",
+    "server.requests: server.shed.interactive + server.shed.batch + server.shed.best-effort == server.shed",
+    // a coalesced request is by definition an admitted one
+    "server.requests: server.coalesced <= server.admitted",
+    // every admitted request resolves at most once: computed or
+    // drain-flushed, never both
+    "server.requests: server.completed + server.drain.flushed <= server.admitted",
+    // drain-phase resolutions are a subset of all resolutions
+    "server.requests: server.drained <= server.completed + server.drain.flushed",
+];
+
+/// A ` + `-separated sum of counter names and integers.
+fn sum_of(terms: &str, counter: &impl Fn(&str) -> Option<u64>) -> u64 {
+    terms
+        .split(" + ")
+        .map(|t| t.parse().unwrap_or_else(|_| counter(t).unwrap_or(0)))
+        .sum()
+}
+
+/// Evaluate one [`INVARIANTS`] rule: `None` when its guard is absent,
+/// else whether it holds, and both sides.
+fn eval_rule(rule: &str, counter: &impl Fn(&str) -> Option<u64>) -> Option<(bool, u64, u64)> {
+    let rule = match rule.split_once(": ") {
+        Some((guard, rule)) => counter(guard).map(|_| rule)?,
+        None => rule,
+    };
+    let sum = |side| sum_of(side, counter);
+    Some(match rule.split_once(" <= ") {
+        Some((lhs, rhs)) => (sum(lhs) <= sum(rhs), sum(lhs), sum(rhs)),
+        None => {
+            let (lhs, rhs) = rule.split_once(" == ").expect("rule is `==` or `<=`");
+            (sum(lhs) == sum(rhs), sum(lhs), sum(rhs))
         }
-    };
-    let Some(line) = text.lines().rev().find(|l| l.trim_start().starts_with('{')) else {
-        eprintln!("stats-check: no JSON line found in {file}");
-        return ExitCode::FAILURE;
-    };
-    let snap = match serde_json::parse(line.trim()) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("stats-check: snapshot line is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    })
+}
+
+/// Read the last JSON line of `file` as a schema-1 metrics snapshot.
+fn load_snapshot(file: &str) -> Result<serde_json::Value, String> {
+    let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let line = (text.lines().rev())
+        .find(|l| l.trim_start().starts_with('{'))
+        .ok_or_else(|| format!("no JSON line found in {file}"))?;
+    let snap = serde_json::parse(line.trim())
+        .map_err(|e| format!("snapshot line is not valid JSON: {e}"))?;
     match snap.get("schema").and_then(stat_u64) {
-        Some(1) => {}
-        other => {
-            eprintln!("stats-check: bad schema version {other:?} (want 1)");
-            return ExitCode::FAILURE;
-        }
+        Some(1) => Ok(snap),
+        other => Err(format!("bad schema version {other:?} (want 1)")),
     }
-    let Some(serde_json::Value::Obj(counters)) = snap.get("counters") else {
-        eprintln!("stats-check: `counters` object missing");
-        return ExitCode::FAILURE;
+}
+
+/// Validate a `--stats json` snapshot: find the last JSON line of `file`,
+/// check the schema version and overall shape, and enforce the counter
+/// [`INVARIANTS`] the instrumentation promises. Exits non-zero with a
+/// reason on any violation, so CI can gate on it.
+fn cmd_stats_check(a: &Args) -> Result<ExitCode, Usage> {
+    let file = a.arg(0).ok_or_else(usage)?;
+    let snap = match load_snapshot(file) {
+        Ok(snap) => snap,
+        Err(e) => return Ok(fail(1, format!("stats-check: {e}"))),
     };
-    let Some(serde_json::Value::Obj(histograms)) = snap.get("histograms") else {
-        eprintln!("stats-check: `histograms` object missing");
-        return ExitCode::FAILURE;
+    let (Some(serde_json::Value::Obj(counters)), Some(serde_json::Value::Obj(histograms))) =
+        (snap.get("counters"), snap.get("histograms"))
+    else {
+        return Ok(fail(
+            1,
+            "stats-check: `counters` or `histograms` object missing",
+        ));
     };
     let counter = |name: &str| -> Option<u64> {
         counters
@@ -1381,374 +1331,119 @@ fn cmd_stats_check(file: &str) -> ExitCode {
             .and_then(|(_, v)| stat_u64(v))
     };
     let mut failures = 0u32;
-    fn check(failures: &mut u32, label: &str, lhs: u64, rhs: u64) {
-        if lhs != rhs {
-            eprintln!("stats-check: invariant violated: {label}: {lhs} != {rhs}");
-            *failures += 1;
-        }
-    }
-    if let Some(requests) = counter("engine.requests") {
-        let outcomes = counter("engine.outcome.served").unwrap_or(0)
-            + counter("engine.outcome.exhausted").unwrap_or(0)
-            + counter("engine.outcome.overloaded").unwrap_or(0);
-        check(
-            &mut failures,
-            "served+exhausted+overloaded == engine.requests",
-            outcomes,
-            requests,
-        );
-    }
-    if let Some(lookups) = counter("engine.cache.lookups") {
-        let traffic =
-            counter("engine.cache.hits").unwrap_or(0) + counter("engine.cache.misses").unwrap_or(0);
-        check(
-            &mut failures,
-            "hits+misses == engine.cache.lookups",
-            traffic,
-            lookups,
-        );
-    }
-    if let Some(lookups) = counter("analysis.cache.lookups") {
-        let traffic = counter("analysis.cache.hits").unwrap_or(0)
-            + counter("analysis.cache.misses").unwrap_or(0);
-        check(
-            &mut failures,
-            "hits+misses == analysis.cache.lookups",
-            traffic,
-            lookups,
-        );
-        // eviction can never outpace insertion
-        let misses = counter("analysis.cache.misses").unwrap_or(0);
-        if counter("analysis.cache.evictions").unwrap_or(0) > misses {
-            eprintln!("stats-check: invariant violated: analysis.cache.evictions > misses");
+    let mut check = |rule: &str| {
+        if let Some((false, lhs, rhs)) = eval_rule(rule, &counter) {
+            eprintln!("stats-check: invariant violated: {rule} ({lhs} vs {rhs})");
             failures += 1;
         }
-    }
-    // poly counting tier: every compile attempt either produced a
-    // polynomial or fell back to the interpreter — the split is exhaustive
-    if let Some(attempts) = counter("ptx.poly.attempts") {
-        let resolved =
-            counter("ptx.poly.compiled").unwrap_or(0) + counter("ptx.poly.fallbacks").unwrap_or(0);
-        check(
-            &mut failures,
-            "compiled+fallbacks == ptx.poly.attempts",
-            resolved,
-            attempts,
-        );
-        // a compiled kernel is always evaluated at least once (compilation
-        // only happens on the counting path), so warm poly traffic shows up
-        if counter("ptx.poly.compiled").unwrap_or(0) > 0
-            && counter("ptx.poly.evals").unwrap_or(0) == 0
-        {
-            eprintln!("stats-check: invariant violated: ptx.poly.compiled > 0 but evals == 0");
-            failures += 1;
-        }
-        // an evaluation-time fallback is a subset of evaluations
-        if counter("ptx.poly.eval_fallbacks").unwrap_or(0) > counter("ptx.poly.evals").unwrap_or(0)
-        {
-            eprintln!("stats-check: invariant violated: ptx.poly.eval_fallbacks > evals");
-            failures += 1;
-        }
-        // every shipped kernel template compiles on the poly tier since the
-        // tid-sloped strided-loop and gemm_micro guard fixes, so a
-        // compile-time fallback in a template-driven run is a regression
-        if counter("ptx.poly.fallbacks").unwrap_or(0) > 0 {
-            eprintln!(
-                "stats-check: invariant violated: ptx.poly.fallbacks = {} (want 0: \
-                 all shipped templates poly-compile)",
-                counter("ptx.poly.fallbacks").unwrap_or(0)
-            );
-            failures += 1;
-        }
-    }
+    };
+    INVARIANTS.iter().for_each(|rule| check(rule));
     // every corpus cell is either replayed from the journal or computed;
     // the split must account for all of them
-    if counter("journal.replayed").is_some() || counter("journal.computed").is_some() {
-        let replayed = counter("journal.replayed").unwrap_or(0);
-        let computed = counter("journal.computed").unwrap_or(0);
-        let cells = counter("corpus.cells.ok").unwrap_or(0)
-            + counter("corpus.cells.degraded").unwrap_or(0)
-            + counter("corpus.cells.failed").unwrap_or(0)
-            + counter("corpus.cells.timeout").unwrap_or(0);
-        if cells > 0 {
-            check(
-                &mut failures,
-                "journal.replayed + journal.computed == corpus cells",
-                replayed + computed,
-                cells,
-            );
-        }
+    let cells =
+        "corpus.cells.ok + corpus.cells.degraded + corpus.cells.failed + corpus.cells.timeout";
+    let journaled = counter("journal.replayed").is_some() || counter("journal.computed").is_some();
+    if journaled && sum_of(cells, &counter) > 0 {
+        check(&format!("journal.replayed + journal.computed == {cells}"));
     }
-    // a journaling build appends at least one record per computed cell
-    if let Some(appends) = counter("journal.appends") {
-        if appends < counter("journal.computed").unwrap_or(0) {
-            eprintln!("stats-check: invariant violated: journal.appends < journal.computed");
-            failures += 1;
-        }
-    }
-    // every scanned snapshot is either loaded or quarantined — the store
-    // validates exclusively inside scan(), so the split is exhaustive
-    if let Some(scanned) = counter("modelstore.snapshots.scanned") {
-        let resolved = counter("modelstore.snapshots.loaded").unwrap_or(0)
-            + counter("modelstore.snapshots.quarantined").unwrap_or(0);
-        check(
-            &mut failures,
-            "loaded+quarantined == modelstore.snapshots.scanned",
-            resolved,
-            scanned,
-        );
-    }
-    // lifecycle: every retrain that reaches the shadow gate is promoted
-    // or rejected, never both; cycles skipped for lack of data or lost
-    // races don't reach the gate, so the sum is bounded by retrains
-    if let Some(retrains) = counter("lifecycle.retrains") {
-        let gated = counter("lifecycle.promotions").unwrap_or(0)
-            + counter("lifecycle.rejections").unwrap_or(0);
-        if gated > retrains {
-            eprintln!(
-                "stats-check: invariant violated: lifecycle.promotions + rejections > retrains"
-            );
-            failures += 1;
-        }
-        // a shadow evaluation precedes every gate decision
-        if gated > counter("lifecycle.shadow.evals").unwrap_or(0) {
-            eprintln!("stats-check: invariant violated: gate decisions > lifecycle.shadow.evals");
-            failures += 1;
-        }
-    }
-    // a rollback only ever follows a drift trip
-    if counter("lifecycle.rollbacks").unwrap_or(0) > counter("lifecycle.drift.trips").unwrap_or(0) {
-        eprintln!("stats-check: invariant violated: lifecycle.rollbacks > lifecycle.drift.trips");
-        failures += 1;
-    }
-    // every promotion that has a store attached writes a snapshot (and
-    // cold-start training writes one too), so written >= promotions
-    // whenever a store was in play
-    if let Some(written) = counter("modelstore.snapshots.written") {
-        if counter("lifecycle.promotions").unwrap_or(0) > written {
-            eprintln!(
-                "stats-check: invariant violated: lifecycle.promotions > modelstore.snapshots.written"
-            );
-            failures += 1;
-        }
-    }
-    // vfs fault injection can only tag operations that actually ran
-    if counter("vfs.injected").unwrap_or(0) > counter("vfs.ops").unwrap_or(0) {
-        eprintln!("stats-check: invariant violated: vfs.injected > vfs.ops");
-        failures += 1;
-    }
-    // sync calls are themselves vfs operations
-    if counter("vfs.sync_file").unwrap_or(0) + counter("vfs.sync_dir").unwrap_or(0)
-        > counter("vfs.ops").unwrap_or(0)
+    // a compiled kernel is always evaluated at least once (compilation
+    // only happens on the counting path), so warm poly traffic shows up
+    if counter("ptx.poly.attempts").is_some()
+        && counter("ptx.poly.compiled").unwrap_or(0) > 0
+        && counter("ptx.poly.evals").unwrap_or(0) == 0
     {
-        eprintln!("stats-check: invariant violated: vfs.sync_file + vfs.sync_dir > vfs.ops");
+        eprintln!("stats-check: invariant violated: ptx.poly.compiled > 0 but evals == 0");
         failures += 1;
-    }
-    // scrub never repairs more than it found
-    if counter("scrub.repaired").unwrap_or(0) > counter("scrub.findings").unwrap_or(0) {
-        eprintln!("stats-check: invariant violated: scrub.repaired > scrub.findings");
-        failures += 1;
-    }
-    // the watchdog only fires tokens of cells it first declared stale
-    if counter("supervise.cancelled").unwrap_or(0) > counter("supervise.stale_cells").unwrap_or(0) {
-        eprintln!("stats-check: invariant violated: supervise.cancelled > supervise.stale_cells");
-        failures += 1;
-    }
-    // server admission: every request is admitted, shed, or rejected while
-    // draining — same determinism contract as the engine.* counters
-    if let Some(requests) = counter("server.requests") {
-        let admitted = counter("server.admitted").unwrap_or(0);
-        let shed = counter("server.shed").unwrap_or(0);
-        check(
-            &mut failures,
-            "admitted+shed+rejected.draining == server.requests",
-            admitted + shed + counter("server.rejected.draining").unwrap_or(0),
-            requests,
-        );
-        let shed_by_class = counter("server.shed.interactive").unwrap_or(0)
-            + counter("server.shed.batch").unwrap_or(0)
-            + counter("server.shed.best-effort").unwrap_or(0);
-        check(
-            &mut failures,
-            "sum(server.shed.<class>) == server.shed",
-            shed_by_class,
-            shed,
-        );
-        // a coalesced request is by definition an admitted one
-        if counter("server.coalesced").unwrap_or(0) > admitted {
-            eprintln!("stats-check: invariant violated: server.coalesced > server.admitted");
-            failures += 1;
-        }
-        // every admitted request resolves at most once: computed or
-        // drain-flushed, never both
-        let resolved =
-            counter("server.completed").unwrap_or(0) + counter("server.drain.flushed").unwrap_or(0);
-        if resolved > admitted {
-            eprintln!(
-                "stats-check: invariant violated: server.completed + server.drain.flushed > server.admitted"
-            );
-            failures += 1;
-        }
-        // drain-phase resolutions are a subset of all resolutions
-        if counter("server.drained").unwrap_or(0) > resolved {
-            eprintln!(
-                "stats-check: invariant violated: server.drained > completed + drain.flushed"
-            );
-            failures += 1;
-        }
     }
     for (name, v) in histograms {
-        let (count, sum) = (
-            v.get("count").and_then(stat_u64),
-            v.get("sum").and_then(stat_u64),
-        );
-        if count.is_none() || sum.is_none() {
-            eprintln!("stats-check: histogram `{name}` missing count/sum");
-            failures += 1;
-            continue;
-        }
-        let bucket_total: u64 = match v.get("buckets") {
-            Some(serde_json::Value::Obj(buckets)) => {
-                buckets.iter().filter_map(|(_, c)| stat_u64(c)).sum()
+        let buckets = match v.get("buckets") {
+            Some(serde_json::Value::Obj(b)) => {
+                Some(b.iter().filter_map(|(_, c)| stat_u64(c)).sum::<u64>())
             }
-            _ => {
-                eprintln!("stats-check: histogram `{name}` missing buckets");
-                failures += 1;
-                continue;
-            }
+            _ => None,
         };
-        check(
-            &mut failures,
-            &format!("histogram `{name}` bucket sum == count"),
-            bucket_total,
-            count.unwrap_or(0),
-        );
+        let count = v.get("count").and_then(stat_u64);
+        match (count, v.get("sum").and_then(stat_u64), buckets) {
+            (Some(count), Some(_), Some(total)) if total == count => continue,
+            (Some(count), Some(_), Some(total)) => eprintln!(
+                "stats-check: invariant violated: histogram `{name}` bucket sum == count: \
+                 {total} != {count}"
+            ),
+            _ => eprintln!("stats-check: histogram `{name}` missing count, sum or buckets"),
+        }
+        failures += 1;
     }
     if failures > 0 {
-        eprintln!("stats-check: {failures} failure(s) in {file}");
-        return ExitCode::FAILURE;
+        return Ok(fail(
+            1,
+            format!("stats-check: {failures} failure(s) in {file}"),
+        ));
     }
     println!(
         "stats OK: {} counters, {} histograms",
         counters.len(),
         histograms.len()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-/// Strip the global `--count-mode <mode>` flag (valid anywhere on the
-/// command line) and install the mode process-wide before dispatch, so
-/// every counting entry point — engine tiers, corpus builds, one-shot
-/// analyses — inherits it without plumbing.
-fn take_count_mode(args: &mut Vec<String>) -> Result<(), String> {
-    while let Some(i) = args.iter().position(|a| a == "--count-mode") {
-        let Some(v) = args.get(i + 1) else {
-            return Err("--count-mode needs a value (auto|poly|interp|bruteforce)".into());
-        };
-        let mode: ptx_analysis::CountMode = v.parse()?;
-        ptx_analysis::set_default_count_mode(mode);
-        args.drain(i..=i + 1);
+fn cmd_ptx(a: &Args) -> Result<ExitCode, Usage> {
+    let model = model(a.arg(0).ok_or_else(usage)?)?;
+    let plan = ptx_codegen::lower(&model, DEFAULT_SM_TARGET).expect("lowering");
+    print!("{}", ptx::printer::module(&plan.module));
+    Ok(ExitCode::SUCCESS)
+}
+
+fn cmd_dot(a: &Args) -> Result<ExitCode, Usage> {
+    print!("{}", cnn_ir::to_dot(&model(a.arg(0).ok_or_else(usage)?)?));
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Find the command (the first argument not consumed by a global
+/// option), parse the rest against its flags, install the global
+/// `--count-mode` process-wide — so every counting entry point inherits it
+/// without plumbing — and run it.
+fn run(args: &[&str]) -> Result<ExitCode, Usage> {
+    let mut at = 0;
+    while args.get(at).is_some_and(|a| GLOBAL_OPTIONS.contains(a)) {
+        at += 2;
     }
-    Ok(())
+    let Some((_, positionals, flags, run)) = args
+        .get(at)
+        .and_then(|cmd| COMMANDS.iter().find(|(name, ..)| name == cmd))
+    else {
+        return Err(usage());
+    };
+    let rest: Vec<&str> = args[..at].iter().chain(&args[at + 1..]).copied().collect();
+    let parsed = Args::parse(args[at], *positionals, flags, &rest)?;
+    if let Some(mode) = parsed.parsed("--count-mode", |v| v.parse::<ptx_analysis::CountMode>())? {
+        ptx_analysis::set_default_count_mode(mode);
+    }
+    run(&parsed)
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = take_count_mode(&mut args) {
-        eprintln!("{e}");
-        return ExitCode::from(EXIT_USAGE);
-    }
-    let mut it = args.iter().map(|s| s.as_str());
-    match it.next() {
-        Some("list") => cmd_list(),
-        Some("analyze") => match it.next() {
-            Some(m) => cmd_analyze(m),
-            None => return usage(),
-        },
-        Some("profile") => match (it.next(), it.next()) {
-            (Some(m), Some(d)) => cmd_profile(m, d),
-            _ => return usage(),
-        },
-        Some("predict") => {
-            let rest: Vec<&str> = it.collect();
-            let Some(model) = rest.first() else {
-                return usage();
-            };
-            let all = rest.contains(&"--all-devices");
-            let kind = regressor_of(
-                rest.iter()
-                    .position(|a| *a == "--regressor")
-                    .and_then(|i| rest.get(i + 1).copied()),
-            );
-            let device = rest.get(1).filter(|d| !d.starts_with("--")).copied();
-            cmd_predict(model, device, all, kind);
-        }
-        Some("rank") => {
-            let rest: Vec<&str> = it.collect();
-            let Some(model) = rest.first().filter(|m| !m.starts_with("--")) else {
-                return usage();
-            };
-            let flag_value = |flag: &str| {
-                rest.iter()
-                    .position(|a| *a == flag)
-                    .and_then(|i| rest.get(i + 1).copied())
-            };
-            let stats = flag_value("--stats").and_then(StatsFormat::parse);
-            let journal_dir = flag_value("--journal-dir").map(Path::new);
-            let resume = rest.contains(&"--resume");
-            if resume && journal_dir.is_none() {
-                eprintln!("--resume needs --journal-dir (nothing to resume from)");
-                return ExitCode::from(EXIT_USAGE);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    run(&args).unwrap_or_else(|Usage(msg)| fail(EXIT_USAGE, msg))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_declared_flag_is_in_usage() {
+        for (name, _, flags, _) in COMMANDS {
+            assert!(USAGE.contains(&format!("  {name} ")), "{name} not in usage");
+            for flag in flags
+                .switches
+                .iter()
+                .chain(flags.options)
+                .chain(GLOBAL_OPTIONS)
+            {
+                assert!(USAGE.contains(flag), "{name} {flag} not in usage");
             }
-            let cell_timeout_ms = match flag_value("--cell-timeout-ms") {
-                Some(v) => match v.parse::<u64>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => {
-                        eprintln!("--cell-timeout-ms needs a positive integer");
-                        return ExitCode::from(EXIT_USAGE);
-                    }
-                },
-                None => None,
-            };
-            return cmd_rank(model, stats, journal_dir, resume, cell_timeout_ms);
         }
-        Some("corpus") => {
-            let rest: Vec<&str> = it.collect();
-            return cmd_corpus(&rest);
-        }
-        Some("estimate") => {
-            let rest: Vec<&str> = it.collect();
-            return cmd_estimate(&rest);
-        }
-        Some("serve") => {
-            let rest: Vec<&str> = it.collect();
-            return cmd_serve(&rest);
-        }
-        Some("models") => {
-            let rest: Vec<&str> = it.collect();
-            return cmd_models(&rest);
-        }
-        Some("scrub") => {
-            let rest: Vec<&str> = it.collect();
-            return cmd_scrub(&rest);
-        }
-        Some("stats-check") => match it.next() {
-            Some(f) => return cmd_stats_check(f),
-            None => return usage(),
-        },
-        Some("ptx") => match it.next() {
-            Some(m) => {
-                let model = model_or_exit(m);
-                let plan = ptx_codegen::lower(&model, "sm_61").expect("lowering");
-                print!("{}", ptx::printer::module(&plan.module));
-            }
-            None => return usage(),
-        },
-        Some("dot") => match it.next() {
-            Some(m) => print!("{}", cnn_ir::to_dot(&model_or_exit(m))),
-            None => return usage(),
-        },
-        _ => return usage(),
     }
-    ExitCode::SUCCESS
 }

@@ -188,3 +188,140 @@ fn strict_resume_from_corrupt_journal_exits_5() {
     ]));
     assert_eq!(code, 5);
 }
+
+/// Run `args` under a watchdog and return its exit code and stderr. A
+/// usage error must be reported before any slow work (a corpus build is
+/// ~1 min), so a run that outlives the watchdog is killed and reported
+/// as `None`.
+fn run_bounded(args: &[&str]) -> (Option<i32>, String) {
+    use std::io::Read;
+    let mut child = cnnperf()
+        .args(args)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn cnnperf");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break Some(status);
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    let mut stderr = String::new();
+    let _ = child
+        .stderr
+        .take()
+        .expect("stderr")
+        .read_to_string(&mut stderr);
+    (status.and_then(|s| s.code()), stderr)
+}
+
+#[test]
+fn usage_errors_exit_2_before_any_work() {
+    let dir = scratch("usage-table-store");
+    let d = dir.to_str().expect("utf8 path");
+    let dev = "GTX 1080 Ti";
+    let cases: &[&[&str]] = &[
+        // an unknown flag, for every command
+        &["list", "--bogus"],
+        &["analyze", "alexnet", "--bogus"],
+        &["profile", "alexnet", dev, "--bogus"],
+        &["predict", "alexnet", "--bogus"],
+        &["rank", "alexnet", "--bogus"],
+        &["corpus", "--bogus"],
+        &["estimate", "alexnet", dev, "--bogus"],
+        &["serve", "--bogus"],
+        &["models", "list", "--model-dir", d, "--bogus"],
+        &["scrub", d, "--bogus"],
+        &["stats-check", "snapshot.out", "--bogus"],
+        &["ptx", "alexnet", "--bogus"],
+        &["dot", "alexnet", "--bogus"],
+        // a missing value, for every value-taking flag
+        &["list", "--count-mode"],
+        &["predict", "alexnet", "--regressor"],
+        &["rank", "alexnet", "--stats"],
+        &["rank", "alexnet", "--journal-dir"],
+        &["rank", "alexnet", "--cell-timeout-ms"],
+        &["corpus", "--runs"],
+        &["corpus", "--fault-profile"],
+        &["corpus", "--models"],
+        &["corpus", "--devices"],
+        &["corpus", "--journal-dir"],
+        &["corpus", "--cell-timeout-ms"],
+        &["corpus", "--chaos"],
+        &["corpus", "--out"],
+        &["corpus", "--stats"],
+        &["estimate", "alexnet", dev, "--deadline-ms"],
+        &["estimate", "alexnet", dev, "--tiers"],
+        &["estimate", "alexnet", dev, "--chaos"],
+        &["estimate", "alexnet", dev, "--queue-capacity"],
+        &["estimate", "alexnet", dev, "--stats"],
+        &["serve", "--socket"],
+        &["serve", "--metrics"],
+        &["serve", "--workers"],
+        &["serve", "--deadlines"],
+        &["serve", "--quotas"],
+        &["serve", "--max-retries"],
+        &["serve", "--retry-backoff-ms"],
+        &["serve", "--tiers"],
+        &["serve", "--chaos"],
+        &["serve", "--max-frame-bytes"],
+        &["serve", "--frame-stall-ms"],
+        &["serve", "--drain-deadline-ms"],
+        &["serve", "--stats-dump"],
+        &["serve", "--model-dir"],
+        &["serve", "--retrain-interval-s"],
+        &["serve", "--shadow-window"],
+        &["serve", "--promotion-threshold"],
+        &["serve", "--drift-window"],
+        &["serve", "--drift-threshold"],
+        &["models", "list", "--model-dir"],
+        &["scrub", d, "--stats"],
+        // bad values
+        &["rank", "alexnet", "--stats", "xml"],
+        &["predict", "alexnet", "--regressor", "svm"],
+        &["corpus", "--runs", "0"],
+        &["serve", "--max-frame-bytes", "63"],
+        &["serve", "--drift-threshold", "0"],
+        &["serve", "--quotas", "1,2"],
+        // stray positionals
+        &["list", "extra"],
+        &["dot", "alexnet", "extra"],
+        &["ptx", "alexnet", "extra"],
+        &["analyze", "alexnet", "extra"],
+        &["profile", "alexnet", dev, "extra"],
+        &["predict", "alexnet", dev, "extra"],
+        &["rank", "alexnet", "extra"],
+        &["estimate", "alexnet", dev, "extra"],
+        &["stats-check", "snapshot.out", "extra"],
+        &["scrub", d, "extra"],
+    ];
+    let mut wrong = Vec::new();
+    for args in cases {
+        let (code, stderr) = run_bounded(args);
+        if code != Some(2) || stderr.contains("building") {
+            wrong.push(format!(
+                "{args:?}: exit {code:?}, stderr: {}",
+                stderr.trim()
+            ));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(wrong.is_empty(), "not usage errors:\n{}", wrong.join("\n"));
+}
+
+#[test]
+fn flags_may_precede_positionals() {
+    let dir = scratch("flag-order-store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().expect("utf8 path");
+    let code = exit_code(cnnperf().args(["models", "--model-dir", d, "list"]));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, 0);
+}

@@ -8,7 +8,7 @@
 
 use cnnperf_core::{
     build_corpus_robust_with, BuildMeta, BuildOptions, CellStatus, Journal, Replay, RobustConfig,
-    SuperviseConfig, Supervisor, DEFAULT_SM_TARGET, JOURNAL_SCHEMA,
+    SuperviseConfig, Supervisor,
 };
 use gpu_sim::{ChaosProfile, DeviceSpec};
 use std::path::PathBuf;
@@ -33,17 +33,6 @@ fn one_device() -> Vec<DeviceSpec> {
     vec![gpu_sim::training_devices().remove(0)]
 }
 
-fn meta_for(cfg: &RobustConfig) -> BuildMeta {
-    BuildMeta {
-        schema: JOURNAL_SCHEMA,
-        sm_target: DEFAULT_SM_TARGET.to_string(),
-        runs: cfg.runs,
-        retry: cfg.retry.clone(),
-        faults: cfg.faults.clone(),
-        strict: cfg.strict,
-    }
-}
-
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir =
         std::env::temp_dir().join(format!("cnnperf-journal-test-{tag}-{}", std::process::id()));
@@ -56,7 +45,8 @@ fn build_journaled(
     cfg: &RobustConfig,
     resume: bool,
 ) -> (cnnperf_core::Corpus, Replay) {
-    let (journal, replay) = Journal::open(dir, &meta_for(cfg), resume).expect("journal open");
+    let (journal, replay) =
+        Journal::open(dir, &BuildMeta::for_config(cfg), resume).expect("journal open");
     let opts = BuildOptions {
         journal: Some(&journal),
         replay: Some(&replay),
@@ -172,7 +162,7 @@ fn corrupt_segment_tail_is_quarantined_and_resume_matches_clean() {
     );
 
     // and the repaired journal replays cleanly on the next resume
-    let (_, replay2) = Journal::open(&dir, &meta_for(&cfg), true).expect("reopen");
+    let (_, replay2) = Journal::open(&dir, &BuildMeta::for_config(&cfg), true).expect("reopen");
     assert_eq!(replay2.corrupt_segments, 0, "repair must not leave damage");
 }
 
