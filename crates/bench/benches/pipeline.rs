@@ -28,12 +28,21 @@ fn bench_lowering(c: &mut Criterion) {
 }
 
 fn bench_full_profile(c: &mut Criterion) {
-    let mut group = c.benchmark_group("pipeline/profile_model_t_dca");
+    let mut group = c.benchmark_group("pipeline/analyze_model_t_dca");
     group.sample_size(10);
     for name in ["alexnet", "mobilenet"] {
         let model = cnn_ir::zoo::build(name).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(name), &model, |b, m| {
-            b.iter(|| black_box(cnnperf_core::profile_model(m).unwrap()))
+            b.iter(|| {
+                black_box(
+                    cnnperf_core::analyze_model(
+                        m,
+                        cnnperf_core::DEFAULT_SM_TARGET,
+                        &Default::default(),
+                    )
+                    .unwrap(),
+                )
+            })
         });
     }
     group.finish();

@@ -9,7 +9,7 @@
 //!
 //! [`analyze_cached`] keys on `(model content hash, sm target)` — the same
 //! FNV-1a envelope hashing as the on-disk corpus cache ([`crate::cache`])
-//! — and stores the complete [`profile_model`](crate::features::profile_model)
+//! — and stores the complete [`analyze_model`](crate::features::analyze_model)
 //! output behind an `Arc`, so the ResilientEngine's detailed/analytical
 //! tiers, `build_corpus_robust` and DSE sweeps all share one analysis per
 //! model. The cache is bounded (LRU over a logical access stamp) and only
@@ -22,7 +22,7 @@
 //! models.
 
 use crate::durable::fnv1a;
-use crate::features::{profile_model_report, CnnProfile, ProfileError};
+use crate::features::{analyze_model, CnnProfile, ProfileError};
 use cnn_ir::{ModelGraph, ModelSummary};
 use ptx::kernel::LaunchPlan;
 use ptx_analysis::{CountingReport, ExecBudget, PlanCount};
@@ -43,8 +43,10 @@ static CACHE_EVICTIONS: obs::LazyCounter = obs::LazyCounter::new("analysis.cache
 /// lowering targets.
 pub const ANALYSIS_CACHE_CAPACITY: usize = 64;
 
-/// The complete output of one model analysis: everything
-/// [`crate::features::profile_model`] returns, cached as a unit.
+/// The complete output of one model analysis
+/// ([`crate::features::analyze_model`]), cached as a unit. `counts` is what
+/// the engine's live tiers simulate from, so a cached analysis is never
+/// counted again.
 #[derive(Debug, Clone)]
 pub struct AnalyzedModel {
     pub profile: CnnProfile,
@@ -111,14 +113,7 @@ pub fn analyze_cached(
     }
     CACHE_MISSES.inc();
 
-    let (profile, plan, counts, summary, counting) = profile_model_report(model, target, budget)?;
-    let value = Arc::new(AnalyzedModel {
-        profile,
-        plan,
-        counts,
-        summary,
-        counting,
-    });
+    let value = Arc::new(analyze_model(model, target, budget)?);
 
     let mut inner = lock();
     inner.tick += 1;
@@ -144,8 +139,7 @@ pub fn analyze_cached(
     Ok(value)
 }
 
-/// [`analyze_cached`] at the device-independent default target — the
-/// memoized equivalent of [`crate::features::profile_model`].
+/// [`analyze_cached`] at the device-independent default target.
 pub fn profile_model_cached(model: &ModelGraph) -> Result<Arc<AnalyzedModel>, ProfileError> {
     analyze_cached(
         model,
@@ -199,7 +193,18 @@ mod tests {
     fn cached_analysis_matches_uncached() {
         let model = cnn_ir::zoo::build("mobilenet").unwrap();
         let cached = profile_model_cached(&model).unwrap();
-        let (profile, plan, counts, summary) = crate::features::profile_model(&model).unwrap();
+        let AnalyzedModel {
+            profile,
+            plan,
+            counts,
+            summary,
+            ..
+        } = analyze_model(
+            &model,
+            crate::features::DEFAULT_SM_TARGET,
+            &ExecBudget::default(),
+        )
+        .unwrap();
         assert_eq!(cached.profile.ptx_instructions, profile.ptx_instructions);
         assert_eq!(cached.profile.trainable_params, profile.trainable_params);
         assert_eq!(

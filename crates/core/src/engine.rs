@@ -780,8 +780,10 @@ fn tier_work(
             } else {
                 SimMode::Analytical
             };
+            // simulate from the analysis's counts: a warm request runs
+            // no DCA at all
             let report = Simulator::new(dev.clone(), mode)
-                .simulate_plan_budgeted(&analyzed.plan, &budget)
+                .simulate(&analyzed.plan, &analyzed.counts, &budget)
                 .map_err(|e| e.to_string())?;
             // a live-tier success *is* ground truth: publish it with the
             // same feature row the regressor tier predicts from, so the

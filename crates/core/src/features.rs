@@ -2,10 +2,10 @@
 //! `d = (y, p, c_1..c_m, t)` — executed PTX instructions `p`, GPGPU
 //! architectural features `c`, trainable parameters `t` (Eq. 1).
 
-use cnn_ir::{GraphError, ModelGraph, ModelSummary};
+use crate::analysis_cache::AnalyzedModel;
+use cnn_ir::{GraphError, ModelGraph};
 use gpu_sim::{DeviceSpec, ProfileFault};
-use ptx::kernel::LaunchPlan;
-use ptx_analysis::{CountingReport, ExecError, PlanCount};
+use ptx_analysis::ExecError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -90,60 +90,23 @@ impl From<ProfileFault> for ProfileError {
     }
 }
 
-/// Run the full static + dynamic analysis for one model: Table I values
-/// from the static analyzer, the executed-instruction count from the
-/// slicing executor. Also returns the lowered plan and counts for reuse.
-pub fn profile_model(
-    model: &ModelGraph,
-) -> Result<(CnnProfile, LaunchPlan, PlanCount, ModelSummary), ProfileError> {
-    profile_model_budgeted(model, &ptx_analysis::ExecBudget::default())
-}
-
-/// [`profile_model`] under an execution budget: the budget's cancellation
-/// token and step fuel bound the dynamic code analysis, so a
-/// deadline-driven caller (the regressor tier of the estimation engine)
-/// can abandon a DCA that will not finish in time.
-pub fn profile_model_budgeted(
-    model: &ModelGraph,
-    budget: &ptx_analysis::ExecBudget,
-) -> Result<(CnnProfile, LaunchPlan, PlanCount, ModelSummary), ProfileError> {
-    profile_model_with_target(model, DEFAULT_SM_TARGET, budget)
-}
-
 /// Default PTX lowering target for device-independent profiling (the
 /// instruction count is target-independent; the target only stamps the
 /// emitted module).
 pub const DEFAULT_SM_TARGET: &str = "sm_61";
 
-/// [`profile_model_budgeted`] with an explicit `sm_*` lowering target, so
-/// device-specific callers (the estimation engine's detailed tier) get a
-/// plan stamped for the request's device instead of a hardcoded one.
-pub fn profile_model_with_target(
+/// Run the full static + dynamic analysis for one model, lowered for
+/// `target` (an `sm_*` string): Table I values from the static analyzer,
+/// the executed-instruction counts from the slicing executor, and the
+/// lowered plan those counts belong to. The budget's cancellation token
+/// and step fuel bound the dynamic code analysis, so a deadline-driven
+/// caller can abandon a DCA that will not finish in time. Uncached;
+/// [`crate::analysis_cache::analyze_cached`] memoizes it.
+pub fn analyze_model(
     model: &ModelGraph,
     target: &str,
     budget: &ptx_analysis::ExecBudget,
-) -> Result<(CnnProfile, LaunchPlan, PlanCount, ModelSummary), ProfileError> {
-    profile_model_report(model, target, budget).map(|(p, plan, c, s, _)| (p, plan, c, s))
-}
-
-/// [`profile_model_with_target`] plus the [`CountingReport`] describing
-/// which counting tier the DCA ran on (compiled trip-count polynomials vs
-/// the dense interpreter) — the provenance the analysis cache stores
-/// alongside each [`AnalyzedModel`](crate::analysis_cache::AnalyzedModel).
-pub fn profile_model_report(
-    model: &ModelGraph,
-    target: &str,
-    budget: &ptx_analysis::ExecBudget,
-) -> Result<
-    (
-        CnnProfile,
-        LaunchPlan,
-        PlanCount,
-        ModelSummary,
-        CountingReport,
-    ),
-    ProfileError,
-> {
+) -> Result<AnalyzedModel, ProfileError> {
     let summary = cnn_ir::analyze(model)?;
     let t0 = std::time::Instant::now();
     let plan = ptx_codegen::lower(model, target)?;
@@ -164,7 +127,13 @@ pub fn profile_model_report(
         num_launches: plan.launches.len(),
         dca_seconds,
     };
-    Ok((profile, plan, counts, summary, counting))
+    Ok(AnalyzedModel {
+        profile,
+        plan,
+        counts,
+        summary,
+        counting,
+    })
 }
 
 /// Names of the full feature vector, in order: CNN features then GPU
@@ -194,10 +163,16 @@ pub fn feature_row(profile: &CnnProfile, dev: &DeviceSpec) -> Vec<f64> {
 mod tests {
     use super::*;
 
+    fn profile_of(name: &str) -> CnnProfile {
+        let model = cnn_ir::zoo::build(name).unwrap();
+        analyze_model(&model, DEFAULT_SM_TARGET, &Default::default())
+            .unwrap()
+            .profile
+    }
+
     #[test]
     fn feature_vector_matches_names() {
-        let model = cnn_ir::zoo::build("alexnet").unwrap();
-        let (profile, _, _, _) = profile_model(&model).unwrap();
+        let profile = profile_of("alexnet");
         let dev = gpu_sim::specs::gtx_1080_ti();
         let row = feature_row(&profile, &dev);
         assert_eq!(row.len(), feature_names().len());
@@ -211,12 +186,13 @@ mod tests {
         // through the same Eq. 1 pipeline as the CNN zoo: static summary,
         // lowering, DCA, feature row
         let model = cnn_ir::zoo::build_any("bert-micro").unwrap();
-        let (profile, plan, _, summary, report) = profile_model_report(
-            &model,
-            DEFAULT_SM_TARGET,
-            &ptx_analysis::ExecBudget::default(),
-        )
-        .unwrap();
+        let AnalyzedModel {
+            profile,
+            plan,
+            summary,
+            counting: report,
+            ..
+        } = analyze_model(&model, DEFAULT_SM_TARGET, &Default::default()).unwrap();
         assert!(profile.ptx_instructions > 0);
         assert!(profile.macs > 0 && profile.flops > profile.macs);
         assert_eq!(profile.trainable_params, summary.trainable_params);
@@ -230,20 +206,15 @@ mod tests {
 
     #[test]
     fn profile_is_gpu_independent() {
-        let model = cnn_ir::zoo::build("mobilenet").unwrap();
-        let (a, _, _, _) = profile_model(&model).unwrap();
-        let (b, _, _, _) = profile_model(&model).unwrap();
+        let a = profile_of("mobilenet");
+        let b = profile_of("mobilenet");
         assert_eq!(a.ptx_instructions, b.ptx_instructions);
     }
 
     #[test]
     fn instruction_count_tracks_model_size() {
-        let small = profile_model(&cnn_ir::zoo::build("mobilenet").unwrap())
-            .unwrap()
-            .0;
-        let big = profile_model(&cnn_ir::zoo::build("vgg16").unwrap())
-            .unwrap()
-            .0;
+        let small = profile_of("mobilenet");
+        let big = profile_of("vgg16");
         assert!(big.ptx_instructions > 3 * small.ptx_instructions);
     }
 }

@@ -55,8 +55,7 @@ pub use engine::{
     EngineConfig, EstimateOutcome, OutcomeKind, ResilientEngine, Tier, TierAttempt, TierFailure,
 };
 pub use features::{
-    feature_names, feature_row, profile_model, profile_model_budgeted, profile_model_report,
-    profile_model_with_target, CnnProfile, ProfileError, DEFAULT_SM_TARGET,
+    analyze_model, feature_names, feature_row, CnnProfile, ProfileError, DEFAULT_SM_TARGET,
 };
 pub use journal::{
     BuildMeta, CellOutcome, Journal, JournalError, JournalRecord, Replay, JOURNAL_SCHEMA,
@@ -95,7 +94,7 @@ pub mod prelude {
     pub use crate::engine::{
         EngineConfig, EstimateOutcome, OutcomeKind, ResilientEngine, Tier, TierFailure,
     };
-    pub use crate::features::{feature_names, feature_row, profile_model, CnnProfile};
+    pub use crate::features::{analyze_model, feature_names, feature_row, CnnProfile};
     pub use crate::model::{compare_regressors, PerformancePredictor};
     pub use crate::pipeline::{
         build_corpus, build_corpus_robust, build_paper_corpus, build_paper_corpus_robust,

@@ -17,7 +17,7 @@ use crate::specs::DeviceSpec;
 use crate::timing::{l2_hit_rate, timing_for, Timing};
 use ptx::inst::Category;
 use ptx::kernel::{Kernel, KernelLaunch};
-use ptx_analysis::{ExecBudget, ExecError, Machine};
+use ptx_analysis::{ExecBudget, ExecError, LaunchCount, Machine};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -67,22 +67,16 @@ pub const LAUNCH_OVERHEAD_US: f64 = 2.5;
 /// case dense layers tractable without changing the steady-state rate.
 const TRACE_CAP: usize = 262_144;
 
-/// Simulate one launch on `dev` in detail (unbounded budget).
-pub fn simulate_launch(
-    kernel: &Kernel,
-    launch: &KernelLaunch,
-    dev: &DeviceSpec,
-) -> Result<LaunchSim, ExecError> {
-    simulate_launch_budgeted(kernel, launch, dev, &ExecBudget::default())
-}
-
-/// [`simulate_launch`] under an execution budget: the budget's step fuel
-/// and cancellation token bound both the representative-thread execution
-/// and — via [`SIM_CANCEL_CHECK_EVENTS`] — the event-driven cycle loop
-/// itself, so a deadline-driven caller can abort a runaway simulation.
+/// Simulate one launch on `dev` in detail. `counts` are the launch's exact
+/// instruction counts from the dynamic code analysis; the simulator only
+/// reports them. The budget's step fuel and cancellation token bound both
+/// the representative-thread execution and — via
+/// [`SIM_CANCEL_CHECK_EVENTS`] — the event-driven cycle loop itself, so a
+/// deadline-driven caller can abort a runaway simulation.
 pub fn simulate_launch_budgeted(
     kernel: &Kernel,
     launch: &KernelLaunch,
+    counts: &LaunchCount,
     dev: &DeviceSpec,
     budget: &ExecBudget,
 ) -> Result<LaunchSim, ExecError> {
@@ -100,11 +94,7 @@ pub fn simulate_launch_budgeted(
     }
     SIM_LAUNCHES.inc();
     let machine = Machine::new(kernel, launch.blocks(), &launch.args).with_budget(budget.clone());
-    let (outcome, mut trace) = machine.run_traced(0, 0)?;
-    let _ = outcome;
-
-    // exact counts for reporting (cheap: interval splitting)
-    let counts = ptx_analysis::count_launch_budgeted(kernel, launch, true, budget)?;
+    let (_, mut trace) = machine.run_traced(0, 0)?;
 
     let trace_scale = if trace.len() > TRACE_CAP {
         let s = trace.len() as f64 / TRACE_CAP as f64;
@@ -324,6 +314,25 @@ mod tests {
         kb.finish()
     }
 
+    /// Count `l` with an unbounded budget, then simulate it under `budget`.
+    fn simulate_under(
+        k: &Kernel,
+        l: &KernelLaunch,
+        dev: &DeviceSpec,
+        budget: &ExecBudget,
+    ) -> Result<LaunchSim, ExecError> {
+        let counts = ptx_analysis::count_launch(k, l, true)?;
+        simulate_launch_budgeted(k, l, &counts, dev, budget)
+    }
+
+    fn simulate_launch(
+        k: &Kernel,
+        l: &KernelLaunch,
+        dev: &DeviceSpec,
+    ) -> Result<LaunchSim, ExecError> {
+        simulate_under(k, l, dev, &ExecBudget::default())
+    }
+
     fn launch(kernel: &Kernel, threads: u64, args: Vec<u64>, br: u64, bw: u64) -> KernelLaunch {
         KernelLaunch {
             kernel: 0,
@@ -431,7 +440,7 @@ mod tests {
         let l = launch(&k, 1 << 22, vec![1 << 22], 0, 0);
         let token = Arc::new(AtomicBool::new(true));
         let budget = ExecBudget::default().with_cancel(token);
-        match simulate_launch_budgeted(&k, &l, &dev, &budget) {
+        match simulate_under(&k, &l, &dev, &budget) {
             Err(ExecError::Cancelled { step, .. }) => {
                 // observed within the documented bound: the representative
                 // execution checks at step 0, the wave loop within
@@ -454,7 +463,7 @@ mod tests {
         let l = launch(&k, 1 << 18, vec![200_000], 1 << 22, 1 << 20);
         let plain = simulate_launch(&k, &l, &dev).unwrap();
         let budget = ExecBudget::default().with_cancel(Arc::new(AtomicBool::new(false)));
-        let budgeted = simulate_launch_budgeted(&k, &l, &dev, &budget).unwrap();
+        let budgeted = simulate_under(&k, &l, &dev, &budget).unwrap();
         assert_eq!(plain.cycles, budgeted.cycles);
         assert_eq!(plain.warp_instructions, budgeted.warp_instructions);
     }
@@ -480,7 +489,7 @@ mod tests {
         let budget = ExecBudget::default().with_max_steps(SIM_CANCEL_CHECK_EVENTS);
         // representative execution fits in the fuel; the wave loop (many
         // warps x trace) does not
-        match simulate_launch_budgeted(&k, &l, &gtx_1080_ti(), &budget) {
+        match simulate_under(&k, &l, &gtx_1080_ti(), &budget) {
             Err(ExecError::StepLimit { .. }) => {}
             other => panic!("expected StepLimit, got {other:?}"),
         }

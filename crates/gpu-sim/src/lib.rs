@@ -33,7 +33,7 @@ pub mod specs;
 pub mod timing;
 
 pub use analytical::{estimate_launch_prec, Precision};
-pub use detailed::{simulate_launch, simulate_launch_budgeted, SIM_CANCEL_CHECK_EVENTS};
+pub use detailed::{simulate_launch_budgeted, SIM_CANCEL_CHECK_EVENTS};
 pub use faults::{
     ChaosInjector, ChaosProfile, FaultInjector, FaultOutcome, FaultProfile, TierFaultKind,
 };
@@ -41,8 +41,7 @@ pub use machine::{SimMode, SimReport, Simulator};
 pub use occupancy::{occupancy, Limiter, Occupancy};
 pub use power::{estimate as estimate_power, PowerReport};
 pub use profiler::{
-    mad, median, profile, profile_robust, profile_robust_budgeted, profile_run,
-    profile_run_budgeted, profile_stats, robust_filter, ProfileFault, ProfileRecord, ProfileStats,
-    RetryPolicy, RobustFilter, RobustProfile, MAD_K, MAD_SIGMA,
+    mad, median, profile, profile_robust, profile_robust_budgeted, profile_run, robust_filter,
+    ProfileFault, ProfileRecord, RetryPolicy, RobustFilter, RobustProfile, MAD_K, MAD_SIGMA,
 };
 pub use specs::{all_devices, device_by_name, training_devices, DeviceSpec};

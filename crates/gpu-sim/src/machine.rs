@@ -1,11 +1,16 @@
 //! Whole-plan simulation: run every launch of a [`LaunchPlan`] on a device
 //! and aggregate cycles, instruction counts and the headline IPC metric.
+//!
+//! The simulators never count instructions themselves: [`Simulator::simulate`]
+//! reads the [`PlanCount`] the dynamic code analysis produced, so a caller
+//! holding an analysis (the engine's analysis cache) simulates with no DCA.
+//! Entry points that take a bare plan count it once with the plan counter
+//! first.
 
 use crate::detailed::{simulate_launch_budgeted, LaunchSim};
 use crate::specs::DeviceSpec;
-use parking_lot::Mutex;
-use ptx::kernel::{KernelLaunch, LaunchPlan};
-use ptx_analysis::{ExecBudget, ExecError};
+use ptx::kernel::LaunchPlan;
+use ptx_analysis::{ExecBudget, ExecError, PlanCount};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -66,40 +71,54 @@ impl Simulator {
     }
 
     /// Simulate a full launch plan (serialized launches, as in single-stream
-    /// inference).
+    /// inference), counting it first with the plan counter.
     pub fn simulate_plan(&self, plan: &LaunchPlan) -> Result<SimReport, ExecError> {
-        self.simulate_plan_budgeted(plan, &ExecBudget::default())
+        let counts = ptx_analysis::count_plan(plan, true)?;
+        self.simulate(plan, &counts, &ExecBudget::default())
     }
 
-    /// [`simulate_plan`] under an execution budget: the budget's step fuel
-    /// and cancellation token propagate into every per-launch simulation
-    /// (detailed cycle loops included), so a deadline-driven caller can
-    /// abort the whole plan cooperatively.
-    pub fn simulate_plan_budgeted(
+    /// Simulate `plan` from its instruction counts (`counts.per_launch[i]`
+    /// belongs to `plan.launches[i]`, as the plan counter produces them).
+    /// The budget's step fuel and cancellation token propagate into every
+    /// per-launch simulation (detailed cycle loops included), so a
+    /// deadline-driven caller can abort the whole plan cooperatively.
+    pub fn simulate(
         &self,
         plan: &LaunchPlan,
+        counts: &PlanCount,
         budget: &ExecBudget,
     ) -> Result<SimReport, ExecError> {
+        if counts.per_launch.len() != plan.launches.len() {
+            return Err(ExecError::Unlaunchable {
+                kernel: plan.model_name.clone(),
+                reason: format!(
+                    "counts cover {} launches but the plan has {}",
+                    counts.per_launch.len(),
+                    plan.launches.len()
+                ),
+            });
+        }
+        let detailed = |i: usize| {
+            let l = &plan.launches[i];
+            let k = &plan.module.kernels[l.kernel];
+            simulate_launch_budgeted(k, l, &counts.per_launch[i], &self.dev, budget)
+        };
         let sims: Vec<LaunchSim> = match self.mode {
-            SimMode::Detailed => self.run_memoized(plan, budget)?,
-            SimMode::DetailedNoMemo => plan
-                .launches
-                .par_iter()
-                .map(|l| {
-                    simulate_launch_budgeted(&plan.module.kernels[l.kernel], l, &self.dev, budget)
-                })
+            SimMode::Detailed => run_memoized(plan, detailed)?,
+            SimMode::DetailedNoMemo => (0..plan.launches.len())
+                .into_par_iter()
+                .map(detailed)
                 .collect::<Result<_, _>>()?,
             SimMode::Analytical => plan
                 .launches
-                .par_iter()
-                .map(|l| {
+                .iter()
+                .zip(&counts.per_launch)
+                .map(|(l, lc)| {
                     let k = &plan.module.kernels[l.kernel];
-                    let counts = ptx_analysis::count_launch_budgeted(k, l, true, budget)?;
-                    let cycles = crate::analytical::estimate_launch(k, l, &counts, &self.dev)?;
                     Ok(LaunchSim {
-                        cycles,
-                        warp_instructions: counts.warp_issues,
-                        thread_instructions: counts.thread_instructions,
+                        cycles: crate::analytical::estimate_launch(k, l, lc, &self.dev)?,
+                        warp_instructions: lc.warp_issues,
+                        thread_instructions: lc.thread_instructions,
                         dram_bytes: (l.bytes_read + l.bytes_written) as f64,
                         l2_hit: crate::timing::l2_hit_rate(l.bytes_read, self.dev.l2_cache_kb),
                         active_sms: self.dev.sm_count,
@@ -109,8 +128,6 @@ impl Simulator {
         };
 
         let cycles: f64 = sims.iter().map(|s| s.cycles).sum();
-        let warp_instructions: u64 = sims.iter().map(|s| s.warp_instructions).sum();
-        let thread_instructions: u64 = sims.iter().map(|s| s.thread_instructions).sum();
         let dram_bytes: f64 = sims.iter().map(|s| s.dram_bytes).sum();
         let l2_hit = if dram_bytes > 0.0 {
             sims.iter().map(|s| s.l2_hit * s.dram_bytes).sum::<f64>() / dram_bytes
@@ -123,15 +140,15 @@ impl Simulator {
             .iter()
             .map(|s| s.cycles * s.active_sms.max(1) as f64)
             .sum();
-        let ipc = warp_instructions as f64 / active_cycles.max(1.0);
+        let ipc = counts.warp_issues as f64 / active_cycles.max(1.0);
         let latency_ms = cycles / (self.dev.boost_clock_mhz as f64 * 1e3);
 
         Ok(SimReport {
             model_name: plan.model_name.clone(),
             device_name: self.dev.name.clone(),
             cycles,
-            warp_instructions,
-            thread_instructions,
+            warp_instructions: counts.warp_issues,
+            thread_instructions: counts.thread_instructions,
             ipc,
             latency_ms,
             dram_bytes,
@@ -139,63 +156,40 @@ impl Simulator {
             num_launches: plan.launches.len(),
         })
     }
+}
 
-    /// Detailed simulation with per-(kernel, grid, args) memoization —
-    /// repeated identical layers cost one simulation.
-    fn run_memoized(
-        &self,
-        plan: &LaunchPlan,
-        budget: &ExecBudget,
-    ) -> Result<Vec<LaunchSim>, ExecError> {
-        type Key = (usize, u32, Vec<u64>, u64, u64);
-        let key_of = |l: &KernelLaunch| -> Key {
-            (
-                l.kernel,
-                l.grid.0,
-                l.args.clone(),
-                l.bytes_read,
-                l.bytes_written,
-            )
-        };
-        let mut keys: Vec<Key> = Vec::new();
-        let mut ids: Vec<usize> = Vec::with_capacity(plan.launches.len());
-        {
-            let mut index: HashMap<Key, usize> = HashMap::new();
-            for l in &plan.launches {
-                let key = key_of(l);
-                let id = *index.entry(key.clone()).or_insert_with(|| {
-                    keys.push(key);
-                    keys.len() - 1
-                });
-                ids.push(id);
-            }
-        }
-        SIM_MEMO_MISSES.add(keys.len() as u64);
-        SIM_MEMO_HITS.add((plan.launches.len() - keys.len()) as u64);
-        let cache: Mutex<HashMap<usize, LaunchSim>> = Mutex::new(HashMap::new());
-        keys.par_iter().enumerate().try_for_each(
-            |(id, (kidx, grid, args, br, bw))| -> Result<(), ExecError> {
-                let launch = KernelLaunch {
-                    kernel: *kidx,
-                    tag: String::new(),
-                    grid: (*grid, 1, 1),
-                    args: args.clone(),
-                    bytes_read: *br,
-                    bytes_written: *bw,
-                };
-                let sim = simulate_launch_budgeted(
-                    &plan.module.kernels[*kidx],
-                    &launch,
-                    &self.dev,
-                    budget,
-                )?;
-                cache.lock().insert(id, sim);
-                Ok(())
-            },
-        )?;
-        let cache = cache.into_inner();
-        Ok(ids.iter().map(|id| cache[id].clone()).collect())
+/// Detailed simulation with per-(kernel, grid, args, traffic)
+/// memoization: repeated identical layers cost one simulation, of the
+/// first launch of each shape.
+fn run_memoized<F>(plan: &LaunchPlan, simulate: F) -> Result<Vec<LaunchSim>, ExecError>
+where
+    F: Fn(usize) -> Result<LaunchSim, ExecError> + Sync,
+{
+    type Key = (usize, u32, Vec<u64>, u64, u64);
+    let mut firsts: Vec<usize> = Vec::new();
+    let mut ids: Vec<usize> = Vec::with_capacity(plan.launches.len());
+    let mut index: HashMap<Key, usize> = HashMap::new();
+    for (i, l) in plan.launches.iter().enumerate() {
+        let key = (
+            l.kernel,
+            l.grid.0,
+            l.args.clone(),
+            l.bytes_read,
+            l.bytes_written,
+        );
+        let id = *index.entry(key).or_insert_with(|| {
+            firsts.push(i);
+            firsts.len() - 1
+        });
+        ids.push(id);
     }
+    SIM_MEMO_MISSES.add(firsts.len() as u64);
+    SIM_MEMO_HITS.add((plan.launches.len() - firsts.len()) as u64);
+    let uniques: Vec<LaunchSim> = firsts
+        .into_par_iter()
+        .map(simulate)
+        .collect::<Result<_, _>>()?;
+    Ok(ids.iter().map(|&id| uniques[id].clone()).collect())
 }
 
 #[cfg(test)]
@@ -234,6 +228,29 @@ mod tests {
             .unwrap();
         assert_eq!(a.warp_instructions, b.warp_instructions);
         assert!((a.cycles - b.cycles).abs() < 1e-6 * a.cycles.max(1.0));
+    }
+
+    #[test]
+    fn counts_of_another_plan_are_a_typed_error() {
+        let plan = plan_for("alexnet");
+        let mut counts = ptx_analysis::count_plan(&plan, true).unwrap();
+        counts.per_launch.pop();
+        for mode in [
+            SimMode::Detailed,
+            SimMode::DetailedNoMemo,
+            SimMode::Analytical,
+        ] {
+            match Simulator::new(gtx_1080_ti(), mode).simulate(
+                &plan,
+                &counts,
+                &ExecBudget::default(),
+            ) {
+                Err(ExecError::Unlaunchable { reason, .. }) => {
+                    assert!(reason.contains("counts cover"), "{reason}")
+                }
+                other => panic!("{mode:?}: expected Unlaunchable, got {other:?}"),
+            }
+        }
     }
 
     #[test]

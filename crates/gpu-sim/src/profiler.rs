@@ -81,28 +81,15 @@ pub fn profile(plan: &LaunchPlan, dev: &DeviceSpec) -> Result<ProfileRecord, Exe
     profile_run(plan, dev, 0)
 }
 
-/// Profile with an explicit run index (distinct jitter per run).
+/// Profile with an explicit run index (distinct jitter per run). The plan
+/// is counted once, then simulated in detail.
 pub fn profile_run(
     plan: &LaunchPlan,
     dev: &DeviceSpec,
     run: u32,
 ) -> Result<ProfileRecord, ExecError> {
-    profile_run_budgeted(plan, dev, run, &ExecBudget::default())
-}
-
-/// [`profile_run`] under an execution budget: the budget's cancellation
-/// token and step fuel bound the underlying detailed simulation, so a
-/// deadline-driven caller (the resilient estimation engine's detailed
-/// tier) can kill a wedged profile instead of waiting forever.
-pub fn profile_run_budgeted(
-    plan: &LaunchPlan,
-    dev: &DeviceSpec,
-    run: u32,
-    budget: &ExecBudget,
-) -> Result<ProfileRecord, ExecError> {
     let t0 = std::time::Instant::now();
-    let report: SimReport =
-        Simulator::new(dev.clone(), SimMode::Detailed).simulate_plan_budgeted(plan, budget)?;
+    let report: SimReport = Simulator::new(dev.clone(), SimMode::Detailed).simulate_plan(plan)?;
     let wall = t0.elapsed().as_secs_f64();
 
     let seed = hash_seed(&plan.model_name, &dev.name, run);
@@ -117,47 +104,6 @@ pub fn profile_run_budgeted(
         thread_instructions: report.thread_instructions,
         warp_instructions: report.warp_instructions,
         profiling_wall_s: wall,
-    })
-}
-
-/// Aggregate over repeated profiling runs (real profiling protocols take
-/// the mean of several `nvprof` replicates; so does this).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProfileStats {
-    pub model_name: String,
-    pub device_name: String,
-    pub runs: u32,
-    pub ipc_mean: f64,
-    pub ipc_std: f64,
-    pub records: Vec<ProfileRecord>,
-}
-
-/// Profile `runs` replicates and aggregate. The simulation runs once; only
-/// the measurement jitter differs per replicate (as on quiet hardware).
-pub fn profile_stats(
-    plan: &LaunchPlan,
-    dev: &DeviceSpec,
-    runs: u32,
-) -> Result<ProfileStats, ExecError> {
-    assert!(runs >= 1);
-    let mut records = Vec::with_capacity(runs as usize);
-    for r in 0..runs {
-        records.push(profile_run(plan, dev, r)?);
-    }
-    let n = runs as f64;
-    let mean = records.iter().map(|r| r.ipc).sum::<f64>() / n;
-    let var = records
-        .iter()
-        .map(|r| (r.ipc - mean) * (r.ipc - mean))
-        .sum::<f64>()
-        / n;
-    Ok(ProfileStats {
-        model_name: plan.model_name.clone(),
-        device_name: dev.name.clone(),
-        runs,
-        ipc_mean: mean,
-        ipc_std: var.sqrt(),
-        records,
     })
 }
 
@@ -454,8 +400,9 @@ pub fn profile_robust(
 
 /// [`profile_robust`] under an explicit execution budget: the budget's
 /// cancellation token and heartbeat observer bound and instrument the
-/// underlying detailed simulation, so a supervising watchdog can detect a
-/// wedged cell and cancel it instead of hanging the whole corpus build.
+/// plan count and the detailed simulation, so a supervising watchdog can
+/// detect a wedged cell and cancel it instead of hanging the whole corpus
+/// build.
 pub fn profile_robust_budgeted(
     plan: &LaunchPlan,
     dev: &DeviceSpec,
@@ -469,9 +416,14 @@ pub fn profile_robust_budgeted(
     PROFILE_CELLS.inc();
     let _cell_span = PROFILE_CELL_US.span();
     let t0 = std::time::Instant::now();
-    let report: SimReport = Simulator::new(dev.clone(), SimMode::Detailed)
-        .simulate_plan_budgeted(plan, budget)
-        .map_err(ProfileFault::Sim)?;
+    let counts = ptx_analysis::count_plan_mode_budgeted(
+        plan,
+        true,
+        budget,
+        ptx_analysis::default_count_mode(),
+    )?;
+    let report: SimReport =
+        Simulator::new(dev.clone(), SimMode::Detailed).simulate(plan, &counts, budget)?;
 
     let mut records: Vec<ProfileRecord> = Vec::with_capacity(runs as usize);
     let mut transient_retries = 0u32;
@@ -689,17 +641,33 @@ mod tests {
     }
 
     #[test]
-    fn replicate_stats_center_on_clean_ipc() {
+    fn robust_replicates_center_on_clean_ipc() {
         let p = plan();
-        let s = profile_stats(&p, &gtx_1080_ti(), 16).unwrap();
-        assert_eq!(s.records.len(), 16);
-        let clean = s.records[0].ipc_clean;
+        let injector = FaultInjector::new(FaultProfile::none());
+        let r = profile_robust(
+            &p,
+            &gtx_1080_ti(),
+            16,
+            &RetryPolicy::no_backoff(),
+            &injector,
+        )
+        .unwrap();
+        assert_eq!(r.records.len(), 16);
+        let clean = r.ipc_clean;
+        let n = r.records.len() as f64;
+        let mean = r.records.iter().map(|x| x.ipc).sum::<f64>() / n;
+        let std = (r
+            .records
+            .iter()
+            .map(|x| (x.ipc - mean).powi(2))
+            .sum::<f64>()
+            / n)
+            .sqrt();
         // mean of 16 jittered replicates within ~2% of the clean value
         assert!(
-            ((s.ipc_mean - clean) / clean).abs() < 0.02,
-            "mean {} vs clean {clean}",
-            s.ipc_mean
+            ((mean - clean) / clean).abs() < 0.02,
+            "mean {mean} vs clean {clean}"
         );
-        assert!(s.ipc_std > 0.0 && s.ipc_std / clean < 0.05);
+        assert!(std > 0.0 && std / clean < 0.05);
     }
 }

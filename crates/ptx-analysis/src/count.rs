@@ -204,7 +204,8 @@ pub fn count_launch(
     launch: &KernelLaunch,
     use_slice: bool,
 ) -> Result<LaunchCount, ExecError> {
-    count_launch_budgeted(kernel, launch, use_slice, &ExecBudget::default())
+    let budget = ExecBudget::default();
+    count_launch_mode(kernel, launch, use_slice, &budget, default_count_mode())
 }
 
 /// [`count_launch`] with an explicit execution budget (step fuel and
@@ -226,44 +227,77 @@ pub fn count_launch_mode(
     budget: &ExecBudget,
     mode: CountMode,
 ) -> Result<LaunchCount, ExecError> {
-    if mode == CountMode::Bruteforce {
-        return count_launch_bruteforce(kernel, launch);
+    Prepared::new(kernel, use_slice, mode)
+        .count(launch, budget)
+        .map(|(lc, _)| lc)
+}
+
+/// One kernel decoded, sliced and (when the mode consults the poly tier)
+/// poly-compiled once, shared by every launch of it that gets counted.
+struct Prepared<'k> {
+    kernel: &'k Kernel,
+    mode: CountMode,
+    program: Arc<DenseProgram>,
+    slice: Option<HashSet<usize>>,
+    /// `None` when the mode never consults the poly tier.
+    poly: Option<Result<KernelPoly, &'static str>>,
+}
+
+impl<'k> Prepared<'k> {
+    fn new(kernel: &'k Kernel, use_slice: bool, mode: CountMode) -> Self {
+        let program = Arc::new(DenseProgram::decode(kernel));
+        let slice = use_slice.then(|| branch_slice(kernel));
+        let poly = matches!(mode, CountMode::Auto | CountMode::Poly)
+            .then(|| compile_kernel(&program, slice.as_ref()));
+        Prepared {
+            kernel,
+            mode,
+            program,
+            slice,
+            poly,
+        }
     }
-    let program = Arc::new(DenseProgram::decode(kernel));
-    let slice = use_slice.then(|| branch_slice(kernel));
-    match mode {
-        CountMode::Interp => count_launch_prepared(&program, slice.as_ref(), launch, budget),
-        CountMode::Auto => match compile_kernel(&program, slice.as_ref()) {
-            Ok(kp) => match count_launch_poly_prepared(&kp, launch, budget) {
-                Ok(lc) => Ok(lc),
+
+    /// Count one launch on the tier the mode selects. The flag is `true`
+    /// when the poly tier deferred this launch at evaluation time (counted
+    /// in `ptx.poly.eval_fallbacks`; `Auto` then re-runs it on the
+    /// interpreter, strict `Poly` fails).
+    fn count(
+        &self,
+        launch: &KernelLaunch,
+        budget: &ExecBudget,
+    ) -> Result<(LaunchCount, bool), ExecError> {
+        let unl = |reason: &str| ExecError::Unlaunchable {
+            kernel: self.program.kernel_name().to_string(),
+            reason: format!("poly: {reason}"),
+        };
+        let interp = || count_launch_prepared(&self.program, self.slice.as_ref(), launch, budget);
+        match (&self.poly, self.mode) {
+            (_, CountMode::Bruteforce) => {
+                count_launch_bruteforce(self.kernel, launch).map(|lc| (lc, false))
+            }
+            (Some(Ok(kp)), _) => match count_launch_poly_prepared(kp, launch, budget) {
+                Ok(lc) => Ok((lc, false)),
                 Err(PolyBail::Exec(e)) => Err(e),
-                Err(PolyBail::Unsupported(_)) => {
+                Err(PolyBail::Unsupported(r)) => {
                     POLY_EVAL_FALLBACKS.inc();
-                    count_launch_prepared(&program, slice.as_ref(), launch, budget)
+                    if self.mode == CountMode::Poly {
+                        return Err(unl(r));
+                    }
+                    interp().map(|lc| (lc, true))
                 }
             },
-            Err(_) => count_launch_prepared(&program, slice.as_ref(), launch, budget),
-        },
-        CountMode::Poly => {
-            let unl = |reason: &str| ExecError::Unlaunchable {
-                kernel: program.kernel_name().to_string(),
-                reason: format!("poly: {reason}"),
-            };
-            let kp = compile_kernel(&program, slice.as_ref()).map_err(&unl)?;
-            count_launch_poly_prepared(&kp, launch, budget).map_err(|e| match e {
-                PolyBail::Exec(e) => e,
-                PolyBail::Unsupported(r) => unl(r),
-            })
+            (Some(Err(r)), CountMode::Poly) => Err(unl(r)),
+            _ => interp().map(|lc| (lc, false)),
         }
-        CountMode::Bruteforce => unreachable!("handled above"),
     }
 }
 
 /// [`count_launch_budgeted`] over an already-decoded kernel, always on
 /// the dense interpreter (the counting layer's `interp` tier). The
-/// grid-rectangle re-runs all execute the shared [`DenseProgram`];
-/// [`count_plan_budgeted`] uses this to decode (and slice) each kernel of a
-/// plan exactly once across all of its launches.
+/// grid-rectangle re-runs all execute the shared [`DenseProgram`]; the
+/// plan counter uses this to decode (and slice) each kernel of a plan
+/// exactly once across all of its launches.
 pub fn count_launch_prepared(
     program: &Arc<DenseProgram>,
     slice: Option<&HashSet<usize>>,
@@ -567,17 +601,12 @@ pub fn count_launch_bruteforce(
 /// signatures (repeated layers hit the memo table). Uses the process-wide
 /// default [`CountMode`].
 pub fn count_plan(plan: &LaunchPlan, use_slice: bool) -> Result<PlanCount, ExecError> {
-    count_plan_budgeted(plan, use_slice, &ExecBudget::default())
-}
-
-/// [`count_plan`] with an explicit execution budget. A shared cancellation
-/// token in the budget aborts all parallel launch counts cooperatively.
-pub fn count_plan_budgeted(
-    plan: &LaunchPlan,
-    use_slice: bool,
-    budget: &ExecBudget,
-) -> Result<PlanCount, ExecError> {
-    count_plan_mode_budgeted(plan, use_slice, budget, default_count_mode())
+    count_plan_mode_budgeted(
+        plan,
+        use_slice,
+        &ExecBudget::default(),
+        default_count_mode(),
+    )
 }
 
 /// [`count_plan_mode_budgeted`] plus a [`CountingReport`] describing which
@@ -602,29 +631,13 @@ pub fn count_plan_report_budgeted(
         key_of.push(id);
     }
 
-    struct Prep {
-        program: Arc<DenseProgram>,
-        slice: Option<HashSet<usize>>,
-        /// `None` when the mode never consults the poly tier.
-        poly: Option<Result<KernelPoly, &'static str>>,
-    }
-
     // decode (and slice, and poly-compile) each referenced kernel exactly
     // once; every unique launch of that kernel shares the prepared state
-    let mut prepared: HashMap<usize, Prep> = HashMap::new();
+    let mut prepared: HashMap<usize, Prepared> = HashMap::new();
     for (kidx, _, _) in &keys {
-        prepared.entry(*kidx).or_insert_with(|| {
-            let kernel = &plan.module.kernels[*kidx];
-            let program = Arc::new(DenseProgram::decode(kernel));
-            let slice = use_slice.then(|| branch_slice(kernel));
-            let poly = matches!(mode, CountMode::Auto | CountMode::Poly)
-                .then(|| compile_kernel(&program, slice.as_ref()));
-            Prep {
-                program,
-                slice,
-                poly,
-            }
-        });
+        prepared
+            .entry(*kidx)
+            .or_insert_with(|| Prepared::new(&plan.module.kernels[*kidx], use_slice, mode));
     }
 
     let poly_compiled = prepared
@@ -635,9 +648,8 @@ pub fn count_plan_report_budgeted(
         .values()
         .filter(|p| matches!(p.poly, Some(Err(_))))
         .count() as u32;
-    let eval_fallbacks = std::sync::atomic::AtomicU32::new(0);
 
-    let uniques: Result<Vec<LaunchCount>, ExecError> = keys
+    let uniques: Vec<(LaunchCount, bool)> = keys
         .par_iter()
         .map(|(kidx, grid, args)| {
             let launch = KernelLaunch {
@@ -648,43 +660,28 @@ pub fn count_plan_report_budgeted(
                 bytes_read: 0,
                 bytes_written: 0,
             };
-            let prep = &prepared[kidx];
-            let unl = |reason: &str| ExecError::Unlaunchable {
-                kernel: prep.program.kernel_name().to_string(),
-                reason: format!("poly: {reason}"),
-            };
-            if mode == CountMode::Bruteforce {
-                return count_launch_bruteforce(&plan.module.kernels[*kidx], &launch);
-            }
-            match &prep.poly {
-                Some(Ok(kp)) => match count_launch_poly_prepared(kp, &launch, budget) {
-                    Ok(lc) => Ok(lc),
-                    Err(PolyBail::Exec(e)) => Err(e),
-                    Err(PolyBail::Unsupported(r)) => {
-                        POLY_EVAL_FALLBACKS.inc();
-                        eval_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        if mode == CountMode::Poly {
-                            return Err(unl(r));
-                        }
-                        count_launch_prepared(&prep.program, prep.slice.as_ref(), &launch, budget)
-                    }
-                },
-                Some(Err(r)) if mode == CountMode::Poly => Err(unl(r)),
-                _ => count_launch_prepared(&prep.program, prep.slice.as_ref(), &launch, budget),
-            }
+            prepared[kidx].count(&launch, budget)
         })
-        .collect();
-    let uniques = uniques?;
+        .collect::<Result<_, _>>()?;
 
-    let per_launch: Vec<LaunchCount> = key_of.iter().map(|&id| uniques[id].clone()).collect();
+    let per_launch: Vec<LaunchCount> = key_of.iter().map(|&id| uniques[id].0.clone()).collect();
+    // plan totals are checked like the per-launch ones: a plan whose sum
+    // exceeds u64 is a typed error, never a wrapped small count
     let mut thread_instructions = 0u64;
     let mut warp_issues = 0u64;
     let mut by_category = [0u64; NCAT];
-    for lc in &per_launch {
-        thread_instructions += lc.thread_instructions;
-        warp_issues += lc.warp_issues;
+    for (l, lc) in plan.launches.iter().zip(&per_launch) {
+        let overflow = || ExecError::CountOverflow {
+            kernel: plan.module.kernels[l.kernel].name.clone(),
+        };
+        thread_instructions = thread_instructions
+            .checked_add(lc.thread_instructions)
+            .ok_or_else(overflow)?;
+        warp_issues = warp_issues
+            .checked_add(lc.warp_issues)
+            .ok_or_else(overflow)?;
         for (acc, v) in by_category.iter_mut().zip(&lc.by_category) {
-            *acc += v;
+            *acc = acc.checked_add(*v).ok_or_else(overflow)?;
         }
     }
     let report = CountingReport {
@@ -692,7 +689,7 @@ pub fn count_plan_report_budgeted(
         kernels: prepared.len() as u32,
         poly_compiled,
         poly_rejected,
-        poly_eval_fallbacks: eval_fallbacks.into_inner(),
+        poly_eval_fallbacks: uniques.iter().filter(|(_, fell_back)| *fell_back).count() as u32,
         unique_launches: keys.len() as u32,
     };
     Ok((
@@ -706,9 +703,7 @@ pub fn count_plan_report_budgeted(
     ))
 }
 
-/// [`count_plan_budgeted`] with an explicit [`CountMode`]. Each referenced
-/// kernel is decoded, sliced and poly-compiled exactly once; every unique
-/// launch of that kernel shares the prepared artifacts.
+/// [`count_plan_report_budgeted`] without the report.
 pub fn count_plan_mode_budgeted(
     plan: &LaunchPlan,
     use_slice: bool,
@@ -859,6 +854,47 @@ mod tests {
         let budget = ExecBudget::default();
         for mode in [CountMode::Interp, CountMode::Auto, CountMode::Poly] {
             match count_launch_mode(&k, &l, true, &budget, mode) {
+                Err(ExecError::CountOverflow { kernel }) => assert_eq!(kernel, "k"),
+                other => panic!("{mode}: expected CountOverflow, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn plan_total_overflow_is_reported_not_wrapped() {
+        // two launches of ~1e19 thread instructions each: every launch
+        // fits in u64, their sum does not
+        let k = loop_kernel(1024);
+        let l = KernelLaunch {
+            kernel: 0,
+            tag: "t".into(),
+            grid: (4_000_000_000, 1, 1),
+            args: vec![u64::MAX, 610_000],
+            bytes_read: 0,
+            bytes_written: 0,
+        };
+        let mut module = ptx::kernel::Module::new("sm_61");
+        module.kernels.push(k);
+        let plan = LaunchPlan {
+            model_name: "overflow".into(),
+            module,
+            launches: vec![l.clone(), l],
+        };
+        let budget = ExecBudget::default();
+        for mode in [CountMode::Interp, CountMode::Auto, CountMode::Poly] {
+            let one = count_launch_mode(
+                &plan.module.kernels[0],
+                &plan.launches[0],
+                true,
+                &budget,
+                mode,
+            )
+            .unwrap();
+            assert!(
+                one.thread_instructions > 9_000_000_000_000_000_000,
+                "{mode}"
+            );
+            match count_plan_mode_budgeted(&plan, true, &budget, mode) {
                 Err(ExecError::CountOverflow { kernel }) => assert_eq!(kernel, "k"),
                 other => panic!("{mode}: expected CountOverflow, got {other:?}"),
             }

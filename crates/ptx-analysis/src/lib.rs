@@ -25,9 +25,9 @@ pub mod stats;
 pub use cfg::Cfg;
 pub use count::{
     count_launch, count_launch_bruteforce, count_launch_budgeted, count_launch_mode,
-    count_launch_poly_prepared, count_launch_prepared, count_plan, count_plan_budgeted,
-    count_plan_mode_budgeted, count_plan_report_budgeted, default_count_mode,
-    set_default_count_mode, CountMode, CountingReport, LaunchCount, PlanCount, WARP,
+    count_launch_poly_prepared, count_launch_prepared, count_plan, count_plan_mode_budgeted,
+    count_plan_report_budgeted, default_count_mode, set_default_count_mode, CountMode,
+    CountingReport, LaunchCount, PlanCount, WARP,
 };
 pub use depgraph::DepGraph;
 pub use exec::{

@@ -49,9 +49,10 @@ fn main() {
     )
     .align(0, Align::Left);
     for model in &models {
-        let (profile, plan, _, _) = profile_model(model).expect("analysis");
-        let truth = gpu_sim::profile(&plan, &unseen).expect("ground truth");
-        let pred = predictor.predict(&profile, &unseen);
+        let analysis = profile_model_cached(model).expect("analysis");
+        let profile = &analysis.profile;
+        let truth = gpu_sim::profile(&analysis.plan, &unseen).expect("ground truth");
+        let pred = predictor.predict(profile, &unseen);
         let ape = 100.0 * ((truth.ipc - pred) / truth.ipc).abs();
         table.row(vec![
             profile.name.clone(),
@@ -88,8 +89,8 @@ fn main() {
     let predictor6 = PerformancePredictor::train(&wide.dataset, RegressorKind::DecisionTree, 42);
     let mut y_pred6 = Vec::new();
     for model in &models {
-        let (profile, _, _, _) = profile_model(model).expect("analysis");
-        y_pred6.push(predictor6.predict(&profile, &unseen));
+        let analysis = profile_model_cached(model).expect("analysis");
+        y_pred6.push(predictor6.predict(&analysis.profile, &unseen));
     }
     println!(
         "\nwith 6 training devices instead of 2: cross-platform MAPE {:.2}% (R2 {:.3})",

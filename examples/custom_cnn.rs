@@ -92,8 +92,9 @@ fn main() {
         for depth in [1u32, 2, 3] {
             let model = build_candidate(width, depth);
             let summary = cnn_ir::analyze(&model).expect("static analysis");
-            let (profile, _, counts, _) = profile_model(&model).expect("dca");
-            let ipc = predictor.predict(&profile, &dev);
+            let analysis = profile_model_cached(&model).expect("dca");
+            let (profile, counts) = (&analysis.profile, &analysis.counts);
+            let ipc = predictor.predict(profile, &dev);
             // predicted IPC + counted warp instructions give a latency
             // estimate without ever running the candidate:
             //   cycles = warp_instrs / (ipc * active SMs)

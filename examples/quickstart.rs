@@ -34,7 +34,8 @@ fn main() {
     //    the dynamic code analysis counts the executed PTX instructions by
     //    slicing — no GPU and no cycle-level simulation involved.
     let new_cnn = cnn_ir::zoo::build("resnet101v2").expect("zoo model");
-    let (profile, _plan, _counts, summary) = profile_model(&new_cnn).expect("analysis");
+    let analysis = profile_model_cached(&new_cnn).expect("analysis");
+    let (profile, summary) = (&analysis.profile, &analysis.summary);
     println!(
         "\n{}: {} trainable params, {} executed PTX instructions (t_dca = {:.2}s)",
         profile.name,
@@ -47,7 +48,7 @@ fn main() {
     //    predictor never saw, thanks to the architectural features.
     println!("\npredicted IPC per device:");
     for dev in gpu_sim::all_devices() {
-        let ipc = predictor.predict(&profile, &dev);
+        let ipc = predictor.predict(profile, &dev);
         println!("  {:14} {:.3}", dev.name, ipc);
     }
 
@@ -56,7 +57,7 @@ fn main() {
     let dev = gpu_sim::specs::gtx_1080_ti();
     let plan = ptx_codegen::lower(&new_cnn, &dev.sm_target()).expect("lowering");
     let truth = gpu_sim::profile(&plan, &dev).expect("profiling");
-    let pred = predictor.predict(&profile, &dev);
+    let pred = predictor.predict(profile, &dev);
     println!(
         "\n{} on {}: predicted {:.3} vs measured {:.3} ({:.1}% error)",
         profile.name,

@@ -23,6 +23,13 @@ test:
 test-1cpu:
     taskset -c 0 timeout 1800 cargo test -q
 
+# Compile the benchmark (its own workspace, building against these crates
+# by path) and run its unit tests, including the check that its metric
+# lists match BENCHMARK.json. An API change that breaks it fails here
+# instead of at benchmark time.
+bench-test:
+    cargo test --release --offline --manifest-path cnnbench/Cargo.toml
+
 # Fault/chaos acceptance suites. Seeds are fixed in the test sources, so a
 # pass is reproducible byte-for-byte; `timeout` is the last-resort watchdog
 # should the deadline machinery itself wedge.

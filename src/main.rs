@@ -16,6 +16,7 @@ use cnnperf_core::{
     SuperviseConfig, Supervisor, DEFAULT_SM_TARGET,
 };
 use gpu_sim::{estimate_power, ChaosProfile, SimMode, Simulator};
+use ptx_analysis::ExecBudget;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -490,8 +491,15 @@ fn cmd_analyze(a: &Args) -> Result<ExitCode, Usage> {
     let model = model(a.arg(0).ok_or_else(usage)?)?;
     // fails under `--count-mode poly` when the strict tier refuses a
     // kernel it cannot compile
-    let (profile, plan, counts, summary) = match profile_model(&model) {
-        Ok(r) => r,
+    let budget = ExecBudget::default();
+    let AnalyzedModel {
+        profile,
+        plan,
+        counts,
+        summary,
+        ..
+    } = match analyze_model(&model, DEFAULT_SM_TARGET, &budget) {
+        Ok(a) => a,
         Err(e) => return Ok(fail(1, format!("analysis failed: {e}"))),
     };
     println!("model: {}", profile.name);
@@ -525,12 +533,15 @@ fn cmd_analyze(a: &Args) -> Result<ExitCode, Usage> {
 fn cmd_profile(a: &Args) -> Result<ExitCode, Usage> {
     let model = model(a.arg(0).ok_or_else(usage)?)?;
     let dev = device(a.arg(1).ok_or_else(usage)?)?;
-    let plan = ptx_codegen::lower(&model, &dev.sm_target()).expect("lowering");
+    let budget = ExecBudget::default();
+    let a = match analyze_model(&model, &dev.sm_target(), &budget) {
+        Ok(a) => a,
+        Err(e) => return Ok(fail(1, format!("analysis failed: {e}"))),
+    };
     let sim = Simulator::new(dev.clone(), SimMode::Detailed)
-        .simulate_plan(&plan)
+        .simulate(&a.plan, &a.counts, &budget)
         .expect("simulation");
-    let counts = ptx_analysis::count_plan(&plan, true).expect("counts");
-    let power = estimate_power(&sim, &counts, &dev);
+    let power = estimate_power(&sim, &a.counts, &dev);
     println!("{} on {} (detailed simulation):", sim.model_name, dev.name);
     println!("  cycles:       {:.3e}", sim.cycles);
     println!("  latency:      {:.2} ms", sim.latency_ms);
@@ -568,8 +579,8 @@ fn cmd_predict(a: &Args) -> Result<ExitCode, Usage> {
         Err(code) => return Ok(code),
     };
     let predictor = PerformancePredictor::train(&corpus.dataset, kind, 42);
-    let (profile, ..) = match profile_model(&model) {
-        Ok(r) => r,
+    let profile = match profile_model_cached(&model) {
+        Ok(a) => a.profile.clone(),
         Err(e) => return Ok(fail(1, format!("analysis failed: {e}"))),
     };
     println!("predicted IPC for {} ({}):", profile.name, kind.name());

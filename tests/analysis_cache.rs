@@ -8,7 +8,7 @@
 //! measures counter *deltas* between its own snapshots.
 
 use cnnperf_core::prelude::*;
-use cnnperf_core::{clear_analysis_cache, feature_row, profile_model};
+use cnnperf_core::{clear_analysis_cache, feature_row, DEFAULT_SM_TARGET};
 use mlkit::RegressorKind;
 use std::sync::Mutex;
 
@@ -23,7 +23,13 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 fn cached_profile_is_byte_identical_across_devices() {
     let _guard = lock();
     let model = cnn_ir::zoo::build("alexnet").unwrap();
-    let (uncached, plan, counts, summary) = profile_model(&model).unwrap();
+    let AnalyzedModel {
+        profile: uncached,
+        plan,
+        counts,
+        summary,
+        ..
+    } = analyze_model(&model, DEFAULT_SM_TARGET, &Default::default()).unwrap();
     let cached = profile_model_cached(&model).unwrap();
 
     // the analysis payload matches field-for-field (dca_seconds is wall
@@ -168,4 +174,34 @@ fn estimate_then_dse_shares_one_analysis() {
     let after = obs::global().snapshot();
     assert_eq!(after.counter_delta(&before, "analysis.cache.misses"), 1);
     assert!(after.counter_delta(&before, "analysis.cache.hits") >= 1);
+}
+
+#[test]
+fn warm_tiers_run_no_dca() {
+    let _guard = lock();
+    let graph = cnn_ir::zoo::build("mobilenet").unwrap();
+    clear_analysis_cache();
+    let cold = obs::global().snapshot();
+    let _ = analyze_cached(&graph, "sm_61", &Default::default()).unwrap();
+    let warm = obs::global().snapshot();
+    assert!(warm.counter_delta(&cold, "ptx.count.launches") > 0);
+
+    // both live tiers simulate from the cached analysis's counts
+    for tier in [Tier::Analytical, Tier::Detailed] {
+        let mut engine = ResilientEngine::new(EngineConfig {
+            deadline_ms: 60_000,
+            tiers: vec![tier],
+            ..EngineConfig::default()
+        });
+        let out = engine.estimate("mobilenet", "GTX 1080 Ti");
+        assert_eq!(out.kind, OutcomeKind::Served { tier }, "{:?}", out.attempts);
+    }
+    let after = obs::global().snapshot();
+    for counter in [
+        "ptx.count.launches",
+        "ptx.poly.attempts",
+        "analysis.cache.misses",
+    ] {
+        assert_eq!(after.counter_delta(&warm, counter), 0, "{counter}");
+    }
 }
