@@ -6,11 +6,11 @@
 //! within its time slice. Every hazard is contained and *classified*:
 //!
 //! - a wall-clock [`Deadline`] bounds the whole request; each tier gets an
-//!   even share of the remainder, and on expiry its cancellation token is
-//!   tripped so the cooperative loops in `ptx-analysis` and `gpu-sim`
-//!   unwind within their documented check intervals;
-//! - tier work runs on a worker thread under `catch_unwind`, so a panic
-//!   is a recorded tier failure, not a batch abort;
+//!   even share of the remainder, carried as a deadline in the tier's
+//!   [`ExecBudget`], so the cooperative loops in `ptx-analysis` and
+//!   `gpu-sim` stop within their documented check intervals once it passes;
+//! - tier work runs on the request's own thread under `catch_unwind`, so a
+//!   panic is a recorded tier failure, not a batch abort;
 //! - a per-tier [`CircuitBreaker`] (logical-tick clock, see
 //!   [`crate::resilience`]) stops routing work to a tier that keeps
 //!   failing, and re-probes it after a cooldown;
@@ -25,15 +25,13 @@ use crate::lifecycle::{Measurement, MeasurementLog, PredictorSlot};
 use crate::model::PerformancePredictor;
 use crate::pipeline::Corpus;
 use crate::resilience::{BreakerConfig, BreakerState, CircuitBreaker, Deadline};
-use crate::server::QosClass;
 use gpu_sim::{ChaosInjector, ChaosProfile, SimMode, Simulator, TierFaultKind};
 use ptx_analysis::ExecBudget;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Requests entering the engine, shed ones included — the invariant
 /// `served + exhausted + overloaded == requests` holds per batch.
@@ -158,10 +156,10 @@ impl std::fmt::Display for Tier {
 /// Why one tier failed to serve a request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TierFailure {
-    /// The tier did not answer within its time slice; its cancellation
-    /// token was tripped and the ladder moved on.
+    /// The tier did not answer within its time slice: its budget's
+    /// deadline stopped it and the ladder moved on.
     Timeout,
-    /// The tier panicked; the unwind was contained by the worker.
+    /// The tier panicked; the unwind was contained by the engine.
     Panic(String),
     /// The tier returned an error.
     Error(String),
@@ -381,41 +379,24 @@ impl ResilientEngine {
             .unwrap_or(BreakerState::Closed)
     }
 
-    /// Estimate one (model, device) cell through the tier ladder.
+    /// Estimate one (model, device) cell through the tier ladder, under the
+    /// configured deadline.
     pub fn estimate(&mut self, model: &str, device: &str) -> EstimateOutcome {
-        self.estimate_with_deadline(model, device, self.config.deadline_ms)
+        self.estimate_with(model, device, self.config.deadline_ms, false)
     }
 
     /// [`estimate`](Self::estimate) under an explicit per-request deadline
-    /// (the server maps QoS classes to deadlines through this).
-    pub fn estimate_with_deadline(
+    /// (the server maps QoS classes to deadlines through this). With
+    /// `live_only` the ladder skips the stale cache: that is the
+    /// stale-while-revalidate refresh path, where a served result updates
+    /// the cache and a failure leaves the stale entry in place rather than
+    /// masking the miss with the entry being refreshed.
+    pub fn estimate_with(
         &mut self,
         model: &str,
         device: &str,
         deadline_ms: u64,
-    ) -> EstimateOutcome {
-        self.estimate_inner(model, device, deadline_ms, false)
-    }
-
-    /// Live-tier-only estimation: the configured ladder minus the stale
-    /// cache. This is the stale-while-revalidate refresh path — a served
-    /// result updates the cache, and a failure leaves the stale entry in
-    /// place rather than masking the miss with the entry being refreshed.
-    pub fn estimate_live(
-        &mut self,
-        model: &str,
-        device: &str,
-        deadline_ms: u64,
-    ) -> EstimateOutcome {
-        self.estimate_inner(model, device, deadline_ms, true)
-    }
-
-    fn estimate_inner(
-        &mut self,
-        model: &str,
-        device: &str,
-        deadline_ms: u64,
-        skip_stale_cache: bool,
+        live_only: bool,
     ) -> EstimateOutcome {
         self.tick += 1;
         ENGINE_REQUESTS.inc();
@@ -428,13 +409,13 @@ impl ResilientEngine {
             .tiers
             .iter()
             .copied()
-            .filter(|t| !(skip_stale_cache && *t == Tier::StaleCache))
+            .filter(|t| !(live_only && *t == Tier::StaleCache))
             .collect();
         let mut attempts: Vec<TierAttempt> = Vec::new();
 
         for (i, &tier) in tiers.iter().enumerate() {
-            // the stale cache is the in-process floor of the ladder: no
-            // worker, no breaker, immune to chaos, effectively instant
+            // the stale cache is the floor of the ladder: no breaker,
+            // immune to chaos, effectively instant
             if tier == Tier::StaleCache {
                 tier_count(tier, "attempts");
                 ENGINE_CACHE_LOOKUPS.inc();
@@ -496,13 +477,13 @@ impl ResilientEngine {
             } else {
                 (None, None)
             };
-            let tier_start = std::time::Instant::now();
+            let tier_start = Instant::now();
             let result = run_tier(
                 tier,
                 model,
                 device,
-                predictor,
-                self.ground_truth.clone(),
+                predictor.as_deref(),
+                self.ground_truth.as_deref(),
                 fault,
                 self.config.chaos.slow_ms,
                 slice,
@@ -556,75 +537,33 @@ impl ResilientEngine {
 
     /// Process a batch sequentially. At most
     /// [`EngineConfig::queue_capacity`] requests are admitted; the rest
-    /// are shed immediately with `Overloaded` — an overloaded engine
-    /// answers fast rather than queueing into its own deadline. All
-    /// requests share one QoS class here, so the shed victims are simply
-    /// the latest arrivals (see [`estimate_batch_qos`](Self::estimate_batch_qos)
-    /// for class-aware shedding).
+    /// (the latest arrivals) are shed immediately with `Overloaded` — an
+    /// overloaded engine answers fast rather than queueing into its own
+    /// deadline.
     pub fn estimate_batch(&mut self, requests: &[(String, String)]) -> Vec<EstimateOutcome> {
-        let classed: Vec<(String, String, QosClass)> = requests
-            .iter()
-            .map(|(m, d)| (m.clone(), d.clone(), QosClass::Batch))
-            .collect();
-        self.estimate_batch_qos(&classed)
-    }
-
-    /// Class-aware batch processing: when the batch exceeds the queue
-    /// capacity, the excess is shed by **QoS priority** — best-effort
-    /// requests are dropped before batch, batch before interactive, and
-    /// within a class the latest arrivals go first. Admitted requests are
-    /// still processed in arrival order, so breaker trajectories stay a
-    /// pure function of the admitted sequence.
-    pub fn estimate_batch_qos(
-        &mut self,
-        requests: &[(String, String, QosClass)],
-    ) -> Vec<EstimateOutcome> {
-        let shed = self.shed_set(requests);
+        let capacity = self.config.queue_capacity;
         requests
             .iter()
             .enumerate()
-            .map(|(i, (model, device, class))| {
-                if shed.contains(&i) {
-                    ENGINE_REQUESTS.inc();
-                    ENGINE_OVERLOADED.inc();
-                    ENGINE_SHED.inc();
-                    obs::global()
-                        .counter(&format!("engine.shed.{}", class.name()))
-                        .inc();
-                    EstimateOutcome {
-                        model: model.clone(),
-                        device: device.clone(),
-                        kind: OutcomeKind::Overloaded,
-                        ipc: None,
-                        latency_ms: None,
-                        attempts: Vec::new(),
-                        elapsed_ms: 0.0,
-                        generation: None,
-                    }
-                } else {
-                    self.estimate(model, device)
+            .map(|(i, (model, device))| {
+                if i < capacity {
+                    return self.estimate(model, device);
+                }
+                ENGINE_REQUESTS.inc();
+                ENGINE_OVERLOADED.inc();
+                ENGINE_SHED.inc();
+                EstimateOutcome {
+                    model: model.clone(),
+                    device: device.clone(),
+                    kind: OutcomeKind::Overloaded,
+                    ipc: None,
+                    latency_ms: None,
+                    attempts: Vec::new(),
+                    elapsed_ms: 0.0,
+                    generation: None,
                 }
             })
             .collect()
-    }
-
-    /// Pick which batch indices to shed: lowest-priority class first,
-    /// latest arrival first within a class.
-    fn shed_set(
-        &self,
-        requests: &[(String, String, QosClass)],
-    ) -> std::collections::HashSet<usize> {
-        let excess = requests.len().saturating_sub(self.config.queue_capacity);
-        let mut victims: Vec<usize> = (0..requests.len()).collect();
-        // sort so the best victims come first: lower priority (higher
-        // rank) before higher, later arrival before earlier
-        victims.sort_by_key(|&i| {
-            (
-                std::cmp::Reverse(requests[i].2.priority()),
-                std::cmp::Reverse(i),
-            )
-        });
-        victims.into_iter().take(excess).collect()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -663,59 +602,53 @@ impl ResilientEngine {
     }
 }
 
-/// Run one tier on a worker thread under `catch_unwind`, bounded by
-/// `slice`. On timeout the tier's cancellation token is tripped and the
-/// worker is abandoned — the cooperative cancellation contracts of
-/// `ptx-analysis` ([`ptx_analysis::CANCEL_CHECK_INTERVAL`]) and `gpu-sim`
-/// ([`gpu_sim::SIM_CANCEL_CHECK_EVENTS`]) guarantee it unwinds and exits
-/// shortly after, so abandoned workers cannot pile up.
+/// Run one tier on the calling thread under `catch_unwind`, bounded by
+/// `slice`. The tier's budget carries `start + slice` as a deadline, so
+/// the cooperative loops of `ptx-analysis`
+/// ([`ptx_analysis::CANCEL_CHECK_INTERVAL`]) and `gpu-sim`
+/// ([`gpu_sim::SIM_CANCEL_CHECK_EVENTS`]) stop shortly after it passes and
+/// nothing keeps running once the engine has moved on. A tier that
+/// returns after its slice is a timeout, whatever it returned. Injected
+/// chaos is acted out here: a `Hang` sleeps out the slice, a `Panic`
+/// unwinds for real, a `Slow` sleeps `slow_ms` (at most the slice) before
+/// working.
 #[allow(clippy::too_many_arguments)]
 fn run_tier(
     tier: Tier,
     model: &str,
     device: &str,
-    predictor: Option<Arc<PerformancePredictor>>,
-    ground_truth: Option<Arc<MeasurementLog>>,
+    predictor: Option<&PerformancePredictor>,
+    ground_truth: Option<&MeasurementLog>,
     fault: TierFaultKind,
     slow_ms: u64,
     slice: Duration,
 ) -> Result<(f64, Option<f64>), TierFailure> {
-    let cancel = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel();
-    let worker_cancel = cancel.clone();
-    let model = model.to_string();
-    let device = device.to_string();
-    let spawned = std::thread::Builder::new()
-        .name(format!("tier-{}", tier.name()))
-        .spawn(move || {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                tier_work(
-                    tier,
-                    &model,
-                    &device,
-                    predictor.as_deref(),
-                    ground_truth.as_deref(),
-                    fault,
-                    slow_ms,
-                    &worker_cancel,
-                )
-            }));
-            let _ = tx.send(out);
-        });
-    if spawned.is_err() {
-        return Err(TierFailure::Error("worker spawn failed".into()));
+    let start = Instant::now();
+    // a slice too long to represent as an instant has no deadline at all
+    let budget = match start.checked_add(slice) {
+        Some(at) => ExecBudget::default().with_deadline(at),
+        None => ExecBudget::default(),
+    };
+    let sleep_until = |offset: Duration| std::thread::sleep(offset.saturating_sub(start.elapsed()));
+    let out = catch_unwind(AssertUnwindSafe(|| {
+        match fault {
+            TierFaultKind::Hang => sleep_until(slice),
+            TierFaultKind::Panic => panic!("chaos: injected panic in {} tier", tier.name()),
+            TierFaultKind::Slow => sleep_until(Duration::from_millis(slow_ms).min(slice)),
+            TierFaultKind::None => {}
+        }
+        if budget.cancelled() {
+            return Err("cancelled by deadline before tier work".into());
+        }
+        tier_work(tier, model, device, predictor, ground_truth, &budget)
+    }));
+    if start.elapsed() >= slice {
+        return Err(TierFailure::Timeout);
     }
-    match rx.recv_timeout(slice) {
-        Ok(Ok(Ok(value))) => Ok(value),
-        Ok(Ok(Err(msg))) => Err(TierFailure::Error(msg)),
-        Ok(Err(payload)) => Err(TierFailure::Panic(panic_message(payload.as_ref()))),
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            cancel.store(true, Ordering::Relaxed);
-            Err(TierFailure::Timeout)
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            Err(TierFailure::Panic("worker died without reporting".into()))
-        }
+    match out {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(msg)) => Err(TierFailure::Error(msg)),
+        Err(payload) => Err(TierFailure::Panic(panic_message(payload.as_ref()))),
     }
 }
 
@@ -731,49 +664,24 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The actual work of one tier, run on the worker thread. Injected chaos
-/// is acted out here: a `Hang` spins on the cancellation token, a `Panic`
-/// unwinds for real, a `Slow` sleeps (cancellably) before working.
-#[allow(clippy::too_many_arguments)]
+/// The actual work of one tier, bounded by `budget`.
 fn tier_work(
     tier: Tier,
     model: &str,
     device: &str,
     predictor: Option<&PerformancePredictor>,
     ground_truth: Option<&MeasurementLog>,
-    fault: TierFaultKind,
-    slow_ms: u64,
-    cancel: &Arc<AtomicBool>,
+    budget: &ExecBudget,
 ) -> Result<(f64, Option<f64>), String> {
-    match fault {
-        TierFaultKind::Hang => {
-            while !cancel.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            return Err("injected hang, cancelled by deadline".into());
-        }
-        TierFaultKind::Panic => panic!("chaos: injected panic in {} tier", tier.name()),
-        TierFaultKind::Slow => {
-            for _ in 0..slow_ms {
-                if cancel.load(Ordering::Relaxed) {
-                    return Err("injected slowdown, cancelled by deadline".into());
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        TierFaultKind::None => {}
-    }
-
     let dev =
         gpu_sim::device_by_name(device).ok_or_else(|| format!("unknown device `{device}`"))?;
     let graph = cnn_ir::zoo::build_any(model).ok_or_else(|| format!("unknown model `{model}`"))?;
-    let budget = ExecBudget::default().with_cancel(cancel.clone());
     match tier {
         Tier::Detailed | Tier::Analytical => {
             // lower for the *request's* device (a hardcoded "sm_61" here
             // used to mis-stamp V100S/A100 plans) and reuse the memoized
             // analysis across requests and devices sharing a target
-            let analyzed = crate::analysis_cache::analyze_cached(&graph, &dev.sm_target(), &budget)
+            let analyzed = crate::analysis_cache::analyze_cached(&graph, &dev.sm_target(), budget)
                 .map_err(|e| e.to_string())?;
             let mode = if tier == Tier::Detailed {
                 SimMode::Detailed
@@ -783,14 +691,14 @@ fn tier_work(
             // simulate from the analysis's counts: a warm request runs
             // no DCA at all
             let report = Simulator::new(dev.clone(), mode)
-                .simulate(&analyzed.plan, &analyzed.counts, &budget)
+                .simulate(&analyzed.plan, &analyzed.counts, budget)
                 .map_err(|e| e.to_string())?;
             // a live-tier success *is* ground truth: publish it with the
             // same feature row the regressor tier predicts from, so the
             // lifecycle trainer journals exactly what predict consumes
             if let Some(log) = ground_truth {
                 if let Ok(profiled) =
-                    crate::analysis_cache::profile_model_cached_budgeted(&graph, &budget)
+                    crate::analysis_cache::profile_model_cached_budgeted(&graph, budget)
                 {
                     log.push(Measurement {
                         model: model.to_string(),
@@ -804,7 +712,7 @@ fn tier_work(
         }
         Tier::Regressor => {
             let predictor = predictor.ok_or("no trained predictor attached")?;
-            let analyzed = crate::analysis_cache::profile_model_cached_budgeted(&graph, &budget)
+            let analyzed = crate::analysis_cache::profile_model_cached_budgeted(&graph, budget)
                 .map_err(|e| e.to_string())?;
             Ok((predictor.predict(&analyzed.profile, &dev), None))
         }
@@ -887,18 +795,21 @@ mod tests {
 
     #[test]
     fn unknown_model_exhausts_with_classified_errors() {
-        let mut engine = ResilientEngine::new(EngineConfig {
-            deadline_ms: 10_000,
-            tiers: vec![Tier::Analytical, Tier::StaleCache],
-            ..EngineConfig::default()
-        });
-        let out = engine.estimate("not-a-model", "V100S");
-        assert_eq!(out.kind, OutcomeKind::Exhausted);
-        assert_eq!(out.attempts.len(), 2);
-        assert!(
-            matches!(&out.attempts[0].failure, TierFailure::Error(m) if m.contains("unknown model"))
-        );
-        assert_eq!(out.attempts[1].failure, TierFailure::CacheMiss);
+        // u64::MAX: a deadline too far off to be an `Instant` still works
+        for deadline_ms in [10_000, u64::MAX] {
+            let mut engine = ResilientEngine::new(EngineConfig {
+                deadline_ms,
+                tiers: vec![Tier::Analytical, Tier::StaleCache],
+                ..EngineConfig::default()
+            });
+            let out = engine.estimate("not-a-model", "V100S");
+            assert_eq!(out.kind, OutcomeKind::Exhausted);
+            assert_eq!(out.attempts.len(), 2);
+            assert!(
+                matches!(&out.attempts[0].failure, TierFailure::Error(m) if m.contains("unknown model"))
+            );
+            assert_eq!(out.attempts[1].failure, TierFailure::CacheMiss);
+        }
     }
 
     #[test]
@@ -919,49 +830,7 @@ mod tests {
     }
 
     #[test]
-    fn qos_batch_sheds_best_effort_before_interactive() {
-        // regression: shedding used to be by arrival index alone, so an
-        // interactive request arriving late was dropped while best-effort
-        // work ahead of it was served
-        let mut engine = ResilientEngine::new(EngineConfig {
-            queue_capacity: 2,
-            tiers: vec![Tier::StaleCache],
-            ..EngineConfig::default()
-        });
-        let reqs: Vec<(String, String, QosClass)> = vec![
-            ("m0".into(), "V100S".into(), QosClass::BestEffort),
-            ("m1".into(), "V100S".into(), QosClass::Batch),
-            ("m2".into(), "V100S".into(), QosClass::Interactive),
-            ("m3".into(), "V100S".into(), QosClass::BestEffort),
-        ];
-        let outs = engine.estimate_batch_qos(&reqs);
-        assert_eq!(outs.len(), 4);
-        // the two best-effort requests are the victims, latest first;
-        // batch and interactive are admitted regardless of arrival order
-        assert_eq!(outs[0].kind, OutcomeKind::Overloaded);
-        assert_ne!(outs[1].kind, OutcomeKind::Overloaded);
-        assert_ne!(outs[2].kind, OutcomeKind::Overloaded);
-        assert_eq!(outs[3].kind, OutcomeKind::Overloaded);
-    }
-
-    #[test]
-    fn qos_batch_sheds_latest_first_within_class() {
-        let mut engine = ResilientEngine::new(EngineConfig {
-            queue_capacity: 1,
-            tiers: vec![Tier::StaleCache],
-            ..EngineConfig::default()
-        });
-        let reqs: Vec<(String, String, QosClass)> = (0..3)
-            .map(|i| (format!("m{i}"), "V100S".into(), QosClass::Interactive))
-            .collect();
-        let outs = engine.estimate_batch_qos(&reqs);
-        assert_ne!(outs[0].kind, OutcomeKind::Overloaded);
-        assert_eq!(outs[1].kind, OutcomeKind::Overloaded);
-        assert_eq!(outs[2].kind, OutcomeKind::Overloaded);
-    }
-
-    #[test]
-    fn estimate_live_skips_the_stale_cache() {
+    fn live_only_estimate_skips_the_stale_cache() {
         let mut engine = ResilientEngine::new(EngineConfig {
             tiers: vec![Tier::StaleCache],
             ..EngineConfig::default()
@@ -971,7 +840,7 @@ mod tests {
             .insert(("m".to_string(), "d".to_string()), (1.0, None));
         // the cached ladder serves, the live ladder has nothing left
         assert!(engine.estimate("m", "d").served());
-        let live = engine.estimate_live("m", "d", 1_000);
+        let live = engine.estimate_with("m", "d", 1_000, true);
         assert_eq!(live.kind, OutcomeKind::Exhausted);
         assert!(live.attempts.is_empty(), "skipped tiers leave no attempts");
     }

@@ -98,9 +98,9 @@ pub const DEFAULT_SM_TARGET: &str = "sm_61";
 /// Run the full static + dynamic analysis for one model, lowered for
 /// `target` (an `sm_*` string): Table I values from the static analyzer,
 /// the executed-instruction counts from the slicing executor, and the
-/// lowered plan those counts belong to. The budget's cancellation token
-/// and step fuel bound the dynamic code analysis, so a deadline-driven
-/// caller can abandon a DCA that will not finish in time. Uncached;
+/// lowered plan those counts belong to. The budget's cancellation (token
+/// or deadline) and step fuel bound the dynamic code analysis, so a
+/// deadline-driven caller can stop a DCA that will not finish in time. Uncached;
 /// [`crate::analysis_cache::analyze_cached`] memoizes it.
 pub fn analyze_model(
     model: &ModelGraph,

@@ -379,7 +379,7 @@ fn run_cell(
             ));
         }
         // cell workers contain no unwind boundary; panic chaos is for the
-        // estimation engine's tier workers
+        // estimation engine's tiers
         TierFaultKind::Panic | TierFaultKind::None => {}
     }
     let budget = guard.map(|g| g.budget()).unwrap_or_default();

@@ -30,10 +30,6 @@ impl Deadline {
         }
     }
 
-    pub fn budget(&self) -> Duration {
-        self.budget
-    }
-
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
@@ -130,10 +126,6 @@ impl CircuitBreaker {
 
     pub fn state(&self) -> BreakerState {
         self.state
-    }
-
-    pub fn config(&self) -> &BreakerConfig {
-        &self.config
     }
 
     /// May a request enter this tier at `tick`? An open breaker whose

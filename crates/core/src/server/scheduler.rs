@@ -581,11 +581,7 @@ fn run_job(
 ) -> (EstimateOutcome, u32) {
     let mut retries = 0u32;
     loop {
-        let outcome = if revalidate {
-            engine.estimate_live(&key.0, &key.1, deadline_ms)
-        } else {
-            engine.estimate_with_deadline(&key.0, &key.1, deadline_ms)
-        };
+        let outcome = engine.estimate_with(&key.0, &key.1, deadline_ms, revalidate);
         if retries < cfg.max_retries && transient(&outcome) {
             retries += 1;
             SERVER_RETRIES.inc();

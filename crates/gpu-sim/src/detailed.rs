@@ -69,10 +69,11 @@ const TRACE_CAP: usize = 262_144;
 
 /// Simulate one launch on `dev` in detail. `counts` are the launch's exact
 /// instruction counts from the dynamic code analysis; the simulator only
-/// reports them. The budget's step fuel and cancellation token bound both
-/// the representative-thread execution and — via
-/// [`SIM_CANCEL_CHECK_EVENTS`] — the event-driven cycle loop itself, so a
-/// deadline-driven caller can abort a runaway simulation.
+/// reports them. The budget's step fuel and cancellation bound both the
+/// representative-thread execution and — via [`SIM_CANCEL_CHECK_EVENTS`] —
+/// the event-driven cycle loop itself, so a deadline-driven caller can
+/// abort a runaway simulation. A budget already cancelled on entry skips
+/// the launch's setup (kernel decode included) altogether.
 pub fn simulate_launch_budgeted(
     kernel: &Kernel,
     launch: &KernelLaunch,
@@ -80,6 +81,12 @@ pub fn simulate_launch_budgeted(
     dev: &DeviceSpec,
     budget: &ExecBudget,
 ) -> Result<LaunchSim, ExecError> {
+    if budget.cancelled() {
+        return Err(ExecError::Cancelled {
+            kernel: kernel.name.clone(),
+            step: 0,
+        });
+    }
     let timing = timing_for(dev);
     let occ = occupancy(kernel, dev);
     if !occ.feasible() {

@@ -223,11 +223,11 @@ impl FaultInjector {
 /// What the chaos model injects into one estimation-tier invocation.
 ///
 /// Unlike [`FaultOutcome`], which the measurement layer *reports*, a tier
-/// fault is *acted out* by the tier worker: a `Hang` really spins until the
-/// deadline's cancellation token fires, a `Panic` really unwinds, and a
-/// `Slow` really sleeps before doing the work. That makes the chaos suite
-/// exercise the engine's deadline and circuit-breaker machinery for real
-/// rather than against simulated flags.
+/// fault is *acted out* by the engine: a `Hang` really sleeps out the
+/// tier's time slice, a `Panic` really unwinds, and a `Slow` really sleeps
+/// before doing the work. That makes the chaos suite exercise the engine's
+/// deadline and circuit-breaker machinery for real rather than against
+/// simulated flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TierFaultKind {
     /// The tier runs normally.

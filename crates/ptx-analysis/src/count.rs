@@ -21,6 +21,7 @@ use crate::slice::branch_slice;
 use ptx::kernel::{Kernel, KernelLaunch, LaunchPlan};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -632,12 +633,22 @@ pub fn count_plan_report_budgeted(
     }
 
     // decode (and slice, and poly-compile) each referenced kernel exactly
-    // once; every unique launch of that kernel shares the prepared state
+    // once; every unique launch of that kernel shares the prepared state.
+    // Preparation never consults the budget, so a pending cancel is
+    // observed before each kernel: a deadline overshoots by at most one
+    // kernel's preparation, not the whole plan's
     let mut prepared: HashMap<usize, Prepared> = HashMap::new();
     for (kidx, _, _) in &keys {
-        prepared
-            .entry(*kidx)
-            .or_insert_with(|| Prepared::new(&plan.module.kernels[*kidx], use_slice, mode));
+        if let Entry::Vacant(slot) = prepared.entry(*kidx) {
+            let kernel = &plan.module.kernels[*kidx];
+            if budget.cancelled() {
+                return Err(ExecError::Cancelled {
+                    kernel: kernel.name.clone(),
+                    step: 0,
+                });
+            }
+            slot.insert(Prepared::new(kernel, use_slice, mode));
+        }
     }
 
     let poly_compiled = prepared

@@ -37,6 +37,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Completed representative-thread executions.
 static EXEC_RUNS: obs::LazyCounter = obs::LazyCounter::new("ptx.exec.runs");
@@ -64,14 +65,16 @@ static EXEC_DECODES: obs::LazyCounter = obs::LazyCounter::new("ptx.exec.decodes"
 /// not change this contract: the check sits on the same per-step loop.
 pub const CANCEL_CHECK_INTERVAL: u64 = 8192;
 
-/// Execution budget for the symbolic executor: step fuel plus an optional
-/// cooperative cancellation token shared across threads. Replaces the old
-/// hard-coded step limit, so callers (e.g. a profiling pipeline that wants
-/// to kill hung analyses) can bound the work per representative thread.
+/// Execution budget for the symbolic executor: step fuel plus optional
+/// cooperative cancellation, by a token shared across threads and/or a
+/// wall-clock deadline. Replaces the old hard-coded step limit, so callers
+/// (e.g. a profiling pipeline that wants to kill hung analyses) can bound
+/// the work per representative thread.
 #[derive(Clone, Default)]
 pub struct ExecBudget {
     max_steps: Option<u64>,
     cancel: Option<Arc<AtomicBool>>,
+    deadline: Option<Instant>,
     /// Liveness observer, invoked at every cancellation check point (every
     /// [`CANCEL_CHECK_INTERVAL`] steps and at step 0 of each run). A
     /// supervisor stamps a heartbeat from here, so "observer went silent"
@@ -84,6 +87,7 @@ impl std::fmt::Debug for ExecBudget {
         f.debug_struct("ExecBudget")
             .field("max_steps", &self.max_steps)
             .field("cancel", &self.cancel)
+            .field("deadline", &self.deadline)
             .field("observer", &self.observer.as_ref().map(|_| ".."))
             .finish()
     }
@@ -107,14 +111,24 @@ impl ExecBudget {
         self
     }
 
+    /// Attach a deadline: once `at` has passed, every in-flight execution
+    /// returns [`ExecError::Cancelled`] at the next check point, exactly as
+    /// if the token had been tripped.
+    pub fn with_deadline(mut self, at: Instant) -> Self {
+        self.deadline = Some(at);
+        self
+    }
+
     pub fn max_steps(&self) -> u64 {
         self.max_steps.unwrap_or(Self::DEFAULT_MAX_STEPS)
     }
 
+    /// True once the token is tripped or the deadline has passed.
     pub fn cancelled(&self) -> bool {
         self.cancel
             .as_ref()
             .is_some_and(|c| c.load(Ordering::Relaxed))
+            || self.deadline.is_some_and(|at| Instant::now() >= at)
     }
 
     /// Attach a liveness observer called at every cancellation check
@@ -1407,12 +1421,16 @@ mod tests {
         kb.mov(Type::U32, r, Operand::ImmI(1));
         kb.bra_uni(head);
         let k = kb.finish();
-        let token = Arc::new(AtomicBool::new(true)); // pre-cancelled
-        let m = Machine::new(&k, 1, &[]).with_budget(ExecBudget::default().with_cancel(token));
-        assert!(matches!(
-            m.run(0, 0),
-            Err(ExecError::Cancelled { kernel, step: 0 }) if kernel == "spin"
-        ));
+        // a tripped token and a deadline already in the past both cancel
+        let tripped = ExecBudget::default().with_cancel(Arc::new(AtomicBool::new(true)));
+        let expired = ExecBudget::default().with_deadline(Instant::now());
+        for budget in [tripped, expired] {
+            let m = Machine::new(&k, 1, &[]).with_budget(budget);
+            assert!(matches!(
+                m.run(0, 0),
+                Err(ExecError::Cancelled { kernel, step: 0 }) if kernel == "spin"
+            ));
+        }
     }
 
     #[test]

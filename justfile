@@ -19,9 +19,11 @@ test:
 
 # The root suite pinned to one CPU. The rayon shim sizes its pool from
 # available_parallelism(), which honours the affinity mask, so every
-# parallel path runs with a single worker.
+# parallel path runs with a single worker. The core unit tests (engine,
+# scheduler shard panic containment and shedding) run pinned too.
 test-1cpu:
     taskset -c 0 timeout 1800 cargo test -q
+    taskset -c 0 timeout 1800 cargo test -q -p cnnperf-core --lib
 
 # Compile the benchmark (its own workspace, building against these crates
 # by path) and run its unit tests, including the check that its metric

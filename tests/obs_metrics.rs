@@ -187,6 +187,34 @@ fn chaos_faults_show_up_in_failure_counters() {
 }
 
 #[test]
+fn a_timed_out_tier_leaves_no_work_behind() {
+    let _guard = lock();
+    // a cold detailed-only estimate of a large CNN under a deadline far
+    // below its cost: the tier must stop when its slice runs out, not
+    // keep analysing, counting and simulating after the engine moved on
+    cnnperf_core::clear_analysis_cache();
+    let mut engine = ResilientEngine::new(EngineConfig {
+        deadline_ms: 20,
+        tiers: vec![Tier::Detailed],
+        ..EngineConfig::default()
+    });
+    let out = engine.estimate("vgg16", "GTX 1080 Ti");
+    let returned = obs::global().snapshot();
+    assert!(
+        out.canonical().ends_with("path=[detailed:timeout]"),
+        "{}",
+        out.canonical()
+    );
+
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let d = obs::global().snapshot().delta_counters(&returned);
+    assert!(
+        d.is_empty(),
+        "work went on after the request returned: {d:?}"
+    );
+}
+
+#[test]
 fn snapshot_json_round_trips_through_the_parser() {
     let _guard = lock();
     obs::global().counter("obs_test.json.probe").add(3);
